@@ -60,7 +60,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--quick") == 0)
             scaleDiv = 8;
         else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = unsigned(std::strtoul(argv[++i], nullptr, 10));
+            jobs = driver::JobPool::parseJobsFlag(argv[++i]);
         else if (std::strcmp(argv[i], "--audit") == 0)
             verify::setAuditEnabled(true);
         else if (std::strcmp(argv[i], "--check") == 0)

@@ -34,6 +34,7 @@
 #include "analysis/report.hh"
 #include "check/verify.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "driver/sweep.hh"
 #include "epoch/epoch.hh"
 #include "obs/timeline.hh"
@@ -52,7 +53,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--quick") == 0)
             scaleDiv = 8;
         else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            opts.jobs = unsigned(std::strtoul(argv[++i], nullptr, 10));
+            opts.jobs = driver::JobPool::parseJobsFlag(argv[++i]);
         else if (std::strcmp(argv[i], "--audit") == 0)
             verify::setAuditEnabled(true);
         else if (std::strcmp(argv[i], "--check") == 0)

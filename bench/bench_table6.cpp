@@ -21,6 +21,7 @@
 #include "analysis/experiments.hh"
 #include "analysis/report.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 
 using namespace dlp;
 using namespace dlp::analysis;
@@ -35,7 +36,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--quick") == 0)
             scaleDiv = 8;
         else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = unsigned(std::strtoul(argv[++i], nullptr, 10));
+            jobs = driver::JobPool::parseJobsFlag(argv[++i]);
     }
 
     struct Row

@@ -21,7 +21,8 @@
  *   --min-spearman X    per-kernel rank-correlation floor (default 0.9)
  *   --scale-div N       shrink the simulated problem sizes (default 8)
  *   --seed N            dataset seed for the simulated grid
- *   --jobs N            sweep worker threads (0 = DLP_JOBS default)
+ *   --jobs N            sweep worker threads (default: DLP_JOBS, else 1;
+ *                       0 = one per hardware thread)
  *
  * Exit status: 0 on success; 1 when --validate finds a bound violation
  * or a kernel below the rank-correlation floor.
@@ -36,11 +37,12 @@
 #include <vector>
 
 #include "analysis/export.hh"
-#include "analysis/json.hh"
 #include "arch/configs.hh"
 #include "arch/processor.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "cost/cost.hh"
+#include "driver/job_pool.hh"
 #include "driver/sweep.hh"
 #include "kernels/catalog.hh"
 #include "sched/linearize.hh"
@@ -117,7 +119,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--seed") == 0) {
             seed = std::strtoull(value(i), nullptr, 10);
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = unsigned(std::strtoul(value(i), nullptr, 10));
+            jobs = driver::JobPool::parseJobsFlag(value(i));
         } else {
             fatal("unknown option '%s' (see the header of "
                   "examples/cost_report.cpp)", argv[i]);
@@ -135,7 +137,7 @@ main(int argc, char **argv)
     }
 
     // --- Static predictions (no simulation) -----------------------------
-    using analysis::json::Value;
+    using json::Value;
     Value jreports = Value::array();
 
     std::printf("%-20s %-9s %10s %8s %6s %6s  %s\n", "kernel", "config",

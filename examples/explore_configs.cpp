@@ -27,6 +27,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "driver/sweep.hh"
 #include "kernels/workload.hh"
 
@@ -47,7 +48,7 @@ main(int argc, char **argv)
             jsonPath = argv[++i];
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             fatal_if(i + 1 >= argc, "--jobs needs a worker count");
-            opts.jobs = unsigned(std::strtoul(argv[++i], nullptr, 10));
+            opts.jobs = driver::JobPool::parseJobsFlag(argv[++i]);
         } else {
             positional.push_back(argv[i]);
         }
@@ -87,7 +88,7 @@ main(int argc, char **argv)
                 best.c_str());
 
     if (!jsonPath.empty()) {
-        analysis::json::Value doc = analysis::toJson(results);
+        json::Value doc = analysis::toJson(results);
         doc.set("kernel", kernel);
         doc.set("scale", scale);
         doc.set("bestConfig", best);

@@ -47,8 +47,8 @@
 #include <vector>
 
 #include "analysis/export.hh"
-#include "analysis/json.hh"
 #include "arch/configs.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "verify/fuzz.hh"
 
@@ -93,10 +93,10 @@ parseNumbers(const std::string &arg)
     return out;
 }
 
-analysis::json::Value
+json::Value
 toJson(const verify::FuzzFailure &f)
 {
-    using analysis::json::Value;
+    using json::Value;
     Value obj = Value::object();
     obj.set("seed", f.seed);
     obj.set("config", f.config);
@@ -222,7 +222,7 @@ main(int argc, char **argv)
                     rep.staticGaps == 1 ? "" : "s");
 
     if (!jsonPath.empty() && !rep.failures.empty()) {
-        using analysis::json::Value;
+        using json::Value;
         Value doc = Value::object();
         doc.set("generator", "dlp-sim fuzz_ir");
         doc.set("runs", rep.runs);

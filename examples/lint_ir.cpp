@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "analysis/export.hh"
-#include "analysis/json.hh"
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "check/verify.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "cost/cost.hh"
 #include "kernels/catalog.hh"
@@ -121,7 +121,7 @@ main(int argc, char **argv)
     size_t errors = 0, warnings = 0, advisories = 0;
     std::map<std::string, size_t> byRule;
 
-    using analysis::json::Value;
+    using json::Value;
     Value jprograms = Value::array();
 
     for (const auto &configName : configNames) {

@@ -50,12 +50,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "driver/service.hh"
 #include "kernels/catalog.hh"
 #include "store/key.hh"
@@ -127,12 +127,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--bandwidth") == 0) {
             opts.bandwidthWordsPerTick = std::strtod(value(i), nullptr);
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = value(i);
-            opts.jobs = unsigned(std::strtoul(v, nullptr, 10));
-            if (std::strcmp(v, "0") == 0) {
-                unsigned hw = std::thread::hardware_concurrency();
-                opts.jobs = hw ? hw : 1;
-            }
+            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
         } else if (std::strcmp(argv[i], "--json") == 0) {
             jsonPath = value(i);
         } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
@@ -177,12 +172,12 @@ main(int argc, char **argv)
                 "sustained/s", "p50(ticks)", "p95(ticks)", "p99(ticks)",
                 "maxQueue", "stallTicks");
 
-    analysis::json::Value doc = analysis::json::Value::object();
+    json::Value doc = json::Value::object();
     doc.set("generator", "dlp-sim");
     doc.set("paper",
             "Universal Mechanisms for Data-Parallel Architectures "
             "(MICRO 2003)");
-    analysis::json::Value services = analysis::json::Value::array();
+    json::Value services = json::Value::array();
 
     size_t auditViolations = 0;
     for (uint64_t cores : coreCounts) {
@@ -206,7 +201,7 @@ main(int argc, char **argv)
             ++auditViolations;
         }
 
-        analysis::json::Value serviceDoc = analysis::toJson(res);
+        json::Value serviceDoc = analysis::toJson(res);
         if (serviceStore) {
             std::string key = store::serviceKey(
                 opts.config, opts.cores, res.bandwidthWordsPerTick,

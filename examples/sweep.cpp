@@ -48,13 +48,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/experiments.hh"
 #include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "driver/sweep.hh"
 #include "kernels/catalog.hh"
 #include "kernels/workload.hh"
@@ -135,12 +135,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--seeds") == 0) {
             seeds = parseNumbers(value(i));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            const char *v = value(i);
-            opts.jobs = unsigned(std::strtoul(v, nullptr, 10));
-            if (std::strcmp(v, "0") == 0) {
-                unsigned hw = std::thread::hardware_concurrency();
-                opts.jobs = hw ? hw : 1;
-            }
+            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
         } else if (std::strcmp(argv[i], "--json") == 0) {
             jsonPath = value(i);
         } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
@@ -241,7 +236,7 @@ main(int argc, char **argv)
                     "audited runs\n",
                     auditViolations, results.size());
 
-    analysis::json::Value doc = analysis::toJson(results);
+    json::Value doc = analysis::toJson(results);
     doc.set("sweep", "custom");
     doc.set("jobs", uint64_t(jobs));
     doc.set("wallSeconds", wallSeconds);

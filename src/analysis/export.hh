@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "analysis/experiments.hh"
-#include "analysis/json.hh"
 #include "arch/multicore.hh"
 #include "arch/processor.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 
 namespace dlp::analysis {

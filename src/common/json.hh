@@ -3,10 +3,9 @@
  * A minimal self-contained JSON document model, writer and parser.
  *
  * The simulator's machine-readable output (stat-group dumps, the
- * experiment grid, the result store's entry files, the sweepd wire
- * protocol) must be consumable by external tooling without pulling a
- * third-party dependency into the build, so this implements just the
- * subset those consumers need:
+ * experiment grid, the result store's entry files) must be consumable
+ * by external tooling without pulling a third-party dependency into
+ * the build, so this implements just the subset those consumers need:
  *
  *  - a Value DOM (null / bool / number / string / array / object);
  *    numbers built from 64-bit integers keep their exact value (no

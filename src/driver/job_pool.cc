@@ -82,17 +82,35 @@ JobPool::defaultWorkers()
     const char *env = std::getenv("DLP_JOBS");
     if (!env || !*env)
         return 1;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || (end && *end) || v < 0) {
+    std::optional<unsigned> n = parseWorkers(env);
+    if (!n) {
         warn("ignoring malformed DLP_JOBS='%s'", env);
         return 1;
     }
+    return *n;
+}
+
+std::optional<unsigned>
+JobPool::parseWorkers(const char *text)
+{
+    char *end = nullptr;
+    long v = std::strtol(text, &end, 10);
+    if (end == text || *end || v < 0)
+        return std::nullopt;
     if (v == 0) {
         unsigned hw = std::thread::hardware_concurrency();
         return hw ? hw : 1;
     }
     return v > 256 ? 256u : unsigned(v);
+}
+
+unsigned
+JobPool::parseJobsFlag(const char *text)
+{
+    std::optional<unsigned> n = parseWorkers(text);
+    fatal_if(!n, "--jobs expects a non-negative worker count, got '%s'",
+             text);
+    return *n;
 }
 
 bool

@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -74,11 +75,22 @@ class JobPool
     size_t pending() const;
 
     /**
-     * The worker count requested by the environment: DLP_JOBS if set
-     * and positive (capped at 256), else 1. DLP_JOBS=0 means "one per
-     * hardware thread".
+     * The worker count requested by the environment: parseWorkers() of
+     * DLP_JOBS if set and well formed, else 1 (a malformed value warns).
      */
     static unsigned defaultWorkers();
+
+    /**
+     * The one rule for a worker count, shared by DLP_JOBS and every
+     * `--jobs` flag: a non-negative decimal integer, where 0 means one
+     * worker per hardware thread and values above 256 are capped at
+     * 256. Returns nullopt for anything else (empty, negative, or
+     * trailing characters).
+     */
+    static std::optional<unsigned> parseWorkers(const char *text);
+
+    /** parseWorkers() of a `--jobs` value; fatal() if it is malformed. */
+    static unsigned parseJobsFlag(const char *text);
 
   private:
     struct WorkerQueue

@@ -25,7 +25,7 @@ namespace {
 
 const char *const catNames[numCats] = {
     "EventQ", "Mesh", "SMC", "Cache", "Mem", "Engine", "Revit", "Exec",
-    "Epoch", "Driver", "Audit", "Check", "Store", "Serve",
+    "Epoch", "Driver", "Audit", "Check", "Store",
 };
 
 /**
@@ -290,7 +290,7 @@ parseCatList(const std::string &list)
             if (warnedNames.insert(name).second) {
                 warn("unknown timeline category '%s' (known: EventQ, Mesh, "
                      "SMC, Cache, Mem, Engine, Revit, Exec, Epoch, Driver, "
-                     "Audit, Check, Store, Serve, All)", spec.c_str());
+                     "Audit, Check, Store, All)", spec.c_str());
             }
         }
     }

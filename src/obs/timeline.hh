@@ -79,7 +79,6 @@ enum class Cat : uint8_t
     Audit,   ///< host: post-run invariant audit gate
     Check,   ///< host: pre-run static verification gate
     Store,   ///< host: result-store lookups, hits/misses, inserts
-    Serve,   ///< host: sweepd request lifecycle and worker sharding
     NumCats
 };
 

@@ -22,9 +22,8 @@
  *    store — set DLP_CODE_VERSION explicitly (e.g. to a git SHA) to
  *    share a store across builds known to be result-compatible.
  *
- * The same key string is used by the in-process result cache, the
- * on-disk store and the sweepd in-flight dedup table, so "same cell"
- * means the same thing at every layer.
+ * The same key string is used by the in-process result cache and the
+ * on-disk store, so "same cell" means the same thing at both layers.
  */
 
 #ifndef DLP_STORE_KEY_HH

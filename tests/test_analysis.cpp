@@ -10,8 +10,8 @@
 
 #include "analysis/attributes.hh"
 #include "analysis/export.hh"
-#include "analysis/json.hh"
 #include "analysis/report.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "kernels/catalog.hh"
@@ -113,8 +113,8 @@ TEST(Report, FmtPrecision)
 TEST(Json, ParsesModestNesting)
 {
     std::string text = "[[[[[[[[[[[1]]]]]]]]]]]";
-    analysis::json::Value v = analysis::json::parse(text);
-    const analysis::json::Value *inner = &v;
+    json::Value v = json::parse(text);
+    const json::Value *inner = &v;
     for (int depth = 0; depth < 11; ++depth)
         inner = &inner->at(size_t(0));
     EXPECT_EQ(inner->asNumber(), 1.0);
@@ -126,7 +126,7 @@ TEST(Json, DepthCapRejectsPathologicalNesting)
     // hostile document; the cap turns that into a clean fatal().
     std::string bomb(100000, '[');
     try {
-        analysis::json::parse(bomb);
+        json::parse(bomb);
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("nesting"),
@@ -140,7 +140,7 @@ TEST(Json, DepthCapAppliesToObjectsToo)
     std::string bomb;
     for (int i = 0; i < 5000; ++i)
         bomb += "{\"a\":";
-    EXPECT_THROW(analysis::json::parse(bomb), FatalError);
+    EXPECT_THROW(json::parse(bomb), FatalError);
 }
 
 TEST(Export, ZeroSampleDistributionOmitsMoments)
@@ -152,7 +152,7 @@ TEST(Export, ZeroSampleDistributionOmitsMoments)
     g.distribution("untouched", 0.0, 10.0, 4);
     GroupSnapshot snap = g.snapshot();
 
-    analysis::json::Value v = analysis::toJson(snap);
+    json::Value v = analysis::toJson(snap);
     const auto &dists = v.at("distributions");
     const auto &touched = dists.at("touched");
     const auto &untouched = dists.at("untouched");

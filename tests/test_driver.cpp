@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiments.hh"
@@ -121,6 +122,17 @@ TEST(JobPool, DefaultWorkersReadsEnvironment)
         setenv("DLP_JOBS", savedCopy.c_str(), 1);
     else
         unsetenv("DLP_JOBS");
+}
+
+TEST(JobPool, ParseWorkersRejectsMalformedAndCapsLarge)
+{
+    EXPECT_EQ(JobPool::parseWorkers("-3"), std::nullopt);
+    EXPECT_EQ(JobPool::parseWorkers("abc"), std::nullopt);
+    EXPECT_EQ(JobPool::parseWorkers("4x"), std::nullopt);
+    unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(JobPool::parseWorkers("0"), hw ? hw : 1u);
+    EXPECT_EQ(JobPool::parseWorkers("1000"), 256u);
+    EXPECT_THROW(JobPool::parseJobsFlag("-3"), FatalError);
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "isa/disasm.hh"
 #include "isa/mapped.hh"
 #include "isa/opcodes.hh"
@@ -14,12 +16,27 @@
 using namespace dlp;
 using namespace dlp::isa;
 
+/**
+ * One evalOp case. gtest names each case after the raw bytes of its
+ * parameter, so the struct must have no padding: padding bytes are
+ * indeterminate and would give the cases a different name on every run.
+ * The opcode is therefore held in a full Word.
+ */
 struct OpCase
 {
-    Op op;
+    OpCase(Op o, Word x, Word y, Word z, Word i, Word e)
+        : opcode(Word(o)), a(x), b(y), c(z), imm(i), expect(e)
+    {
+    }
+
+    Op op() const { return Op(opcode); }
+
+    Word opcode;
     Word a, b, c, imm;
     Word expect;
 };
+static_assert(std::has_unique_object_representations_v<OpCase>,
+              "OpCase must have no padding bytes");
 
 class EvalOp : public ::testing::TestWithParam<OpCase>
 {
@@ -28,8 +45,8 @@ class EvalOp : public ::testing::TestWithParam<OpCase>
 TEST_P(EvalOp, Matches)
 {
     const auto &t = GetParam();
-    EXPECT_EQ(evalOp(t.op, t.a, t.b, t.c, t.imm), t.expect)
-        << opName(t.op);
+    EXPECT_EQ(evalOp(t.op(), t.a, t.b, t.c, t.imm), t.expect)
+        << opName(t.op());
 }
 
 INSTANTIATE_TEST_SUITE_P(

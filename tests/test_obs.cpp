@@ -19,14 +19,13 @@
 
 #include "analysis/experiments.hh"
 #include "analysis/export.hh"
-#include "analysis/json.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
 
 using namespace dlp;
-namespace json = dlp::analysis::json;
 
 namespace {
 

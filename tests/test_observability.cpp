@@ -13,14 +13,13 @@
 
 #include "analysis/experiments.hh"
 #include "analysis/export.hh"
-#include "analysis/json.hh"
 #include "analysis/report.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 
 using namespace dlp;
-namespace json = dlp::analysis::json;
 
 namespace {
 

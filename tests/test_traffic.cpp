@@ -101,8 +101,9 @@ TEST(Traffic, ArrivalsStrictlyIncreaseAndDrawsStayInRange)
     std::vector<traffic::Request> reqs = traffic::generate(t);
     uint64_t draws[2] = {0, 0};
     for (size_t i = 0; i < reqs.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(reqs[i].arrival, reqs[i - 1].arrival);
+        }
         ASSERT_LT(reqs[i].mixIndex, t.mix.size());
         ASSERT_LT(reqs[i].seedSlot, t.seedPool);
         ++draws[reqs[i].mixIndex];
