@@ -150,6 +150,28 @@ BM_ResourceAcquireMany(benchmark::State &state)
 BENCHMARK(BM_ResourceAcquireMany);
 
 static void
+BM_ResourceAcquirePipelined(benchmark::State &state)
+{
+    // What the engines produce: each activation's 8 requests land
+    // anywhere in a 64-tick window after its start, and the next
+    // activation starts 12 ticks later, before that window closes, so
+    // grants interleave out of order. The floor -- the current
+    // activation's start -- only rises, which keeps the calendar at the
+    // window's width however long this runs.
+    sim::Resource res(1);
+    Tick floor = 0;
+    res.bindFloor(&floor);
+    Rng rng(5);
+    unsigned n = 0;
+    for (auto _ : state) {
+        if (++n % 8 == 0)
+            floor += 12;
+        benchmark::DoNotOptimize(res.acquire(floor + rng.below(64)));
+    }
+}
+BENCHMARK(BM_ResourceAcquirePipelined);
+
+static void
 BM_InterpretRijndael(benchmark::State &state)
 {
     auto k = kernels::makeRijndael();

@@ -53,6 +53,9 @@ BlockEngine::BlockEngine(const MachineParams &params,
         trackedName.push_back("link");
     });
     grantSnapshot.assign(tracked.size(), 0);
+    // Every request an activation makes lands at or after its start.
+    for (sim::Resource *r : tracked)
+        r->bindFloor(&floorTick);
 
     // One reusable event seeds every activation (bound once here; the
     // per-activation context travels through members, not captures).
@@ -477,6 +480,7 @@ BlockEngine::runActivation(const MappedBlock &block, Tick startTick,
             block.name.c_str(), startTick,
             firstActivation ? " (fresh mapping)" : "");
 
+    floorTick = startTick;
     firedCount = 0;
     expectedCount = 0;
     actMaxTick = startTick;
@@ -837,8 +841,12 @@ void
 BlockEngine::captureEpochTails(std::vector<epoch::ResourceTail> &out,
                                Tick origin)
 {
+    // Retire up to the floor first: which intervals below it are still
+    // resident depends on when each calendar last retired, and the tails
+    // must not.
     out.resize(tracked.size());
     for (size_t i = 0; i < tracked.size(); ++i) {
+        tracked[i]->retire();
         tracked[i]->tailSince(origin, out[i].busy);
         out[i].lastEnd = int64_t(tracked[i]->nextFree()) - int64_t(origin);
     }

@@ -293,6 +293,9 @@ class BlockEngine
     Tick actMaxWrite = 0;  ///< last register-write commit
 
     Tick curTick = 0;
+    /// The tracked resources' floor: the current activation's start.
+    /// Activation starts never decrease, even across run() calls.
+    Tick floorTick = 0;
 
     /// Byte address region where lookup tables live when the L0 data
     /// store is disabled (they sit in cached memory).

@@ -20,6 +20,20 @@ MimdEngine::MimdEngine(const MachineParams &params,
       mesh(params.rows, params.cols, params.hopTicks),
       l0Ports(params.tiles(), sim::Resource(ticksPerCycle))
 {
+    // Tiles step in global time order and never request below the tick
+    // they were popped at, so that tick is every shared calendar's floor.
+    auto bind = [this](std::vector<sim::Resource> &set) {
+        for (auto &r : set)
+            r.bindFloor(&floorTick);
+    };
+    bind(l0Ports);
+    bind(mem.smc().bankPortResources());
+    bind(mem.smc().storeBufResources());
+    bind(mem.smc().channelResources());
+    bind(mem.l1().portResources());
+    bind(mem.l2().portResources());
+    mesh.forEachLink([this](sim::Resource &r) { r.bindFloor(&floorTick); });
+
     // Each MIMD tile issues at most one instruction per cycle.
     issueWidth = &engStats.distribution("issueWidth", 0.0, 1.0, 20);
     operandWait = &engStats.distribution("operandWaitTicks", 0.0, 128.0,
@@ -92,7 +106,7 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
     while (!heap.empty()) {
         auto [when, tileIdx] = heap.top();
         heap.pop();
-        (void)when;
+        floorTick = when;
         TileState &ts = tiles[tileIdx];
         if (ts.pc >= plan.program.code.size())
             continue;

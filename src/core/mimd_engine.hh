@@ -108,6 +108,7 @@ class MimdEngine
     Distribution *issueWidth = nullptr;  ///< insts/cycle per tile per run
 
     Tick curTick = 0;
+    Tick floorTick = 0; ///< the resources' floor: the last popped tick
     uint64_t hostSteps = 0; ///< instruction steps executed (host metric)
     obs::StatSampler *sampler = nullptr;
 

@@ -13,14 +13,31 @@
  * have done.
  *
  * The calendar is a flat sorted small-vector of disjoint merged
- * intervals rather than a node-based map: adjacent intervals merge, so
- * densely used resources keep one or two intervals resident, which fit
- * the inline buffer and never touch the heap. The common case --
- * acquire at or after the end of the last interval -- is recognized in
- * O(1) and either extends the tail interval in place or appends, with
- * zero allocations. Sparse out-of-order histories fall back to a
- * binary search over the (tiny) flat array; memmove-style inserts beat
- * map node churn at these sizes by a wide margin.
+ * intervals rather than a node-based map. The common case -- acquire
+ * at or after the end of the last interval -- is recognized in O(1)
+ * and either extends the tail interval in place or appends, with zero
+ * allocations. Out-of-order acquires binary-search the flat array and
+ * insert with memmove, which beats map node churn at these sizes.
+ *
+ * Calendars do not stay small on their own. Instruction revitalization
+ * starts activation a+1 before activation a drains, so link, bank and
+ * port calendars fill with short gaps that never merge: on the full
+ * Figure-5/Table-4 grid 42% of acquires took the out-of-order path,
+ * over calendars of 3,341 intervals on average and 37,883 at most.
+ * Hence the floor: an engine binds each resource to a tick that no
+ * future request falls below (BlockEngine: the current activation's
+ * start; MimdEngine: the tick it last popped). An interval ending
+ * before the floor can neither delay nor merge with any later grant,
+ * so the calendar drops such leading intervals before an out-of-order
+ * search and before its storage would grow. That cut the same grid's
+ * out-of-order calendars to 59 intervals on average, about 3 k at most.
+ * Unbound resources keep their whole history, as tests and benches
+ * expect.
+ *
+ * Retirement is lazy, so which intervals below the floor are still
+ * resident depends on when a calendar last retired. Anything that
+ * compares calendars -- epoch recording diffs tailSince() between two
+ * units -- must retire() first.
  */
 
 #ifndef DLP_SIM_RESOURCE_HH
@@ -37,6 +54,12 @@
 #include "common/types.hh"
 
 namespace dlp::sim {
+
+/**
+ * Panic on a request at tick earliest below a resource's floor. Kept
+ * out of line so the hot acquire path carries only the comparison.
+ */
+[[noreturn, gnu::cold]] void floorViolation(Tick earliest, Tick floor);
 
 /**
  * A minimal small-buffer vector for trivially copyable elements:
@@ -122,8 +145,19 @@ class SmallVec
         --count;
     }
 
+    /** Erase the first n elements. */
+    void
+    eraseFront(size_t n)
+    {
+        std::memmove(data_, data_ + n, (count - n) * sizeof(T));
+        count -= n;
+    }
+
     /** Drop all elements; keeps the heap block, if any. */
     void clear() { count = 0; }
+
+    /** Would the next push_back or insert have to grow the storage? */
+    bool full() const { return count == cap; }
 
   private:
     void
@@ -216,6 +250,8 @@ class Resource
     Tick
     acquireMany(Tick earliest, uint64_t units)
     {
+        if (earliest < *floor) [[unlikely]]
+            floorViolation(earliest, *floor);
         if (units == 0)
             return earliest;
         Tick len = serviceInterval * units;
@@ -226,11 +262,15 @@ class Resource
         // or append -- O(1), no search, no allocation.
         if (busy.empty() || earliest >= busy.back().end) {
             grant = earliest;
-            if (!busy.empty() && busy.back().end == earliest)
+            if (!busy.empty() && busy.back().end == earliest) {
                 busy.back().end = earliest + len;
-            else
+            } else {
+                if (busy.full())
+                    retire();
                 busy.push_back({earliest, earliest + len});
+            }
         } else {
+            retire();
             size_t pos;
             grant = findWindow(earliest, len, pos);
             insertBusy(pos, grant, grant + len);
@@ -261,6 +301,31 @@ class Resource
 
     uint64_t grants() const { return totalGrants; }
     Tick waitedTicks() const { return totalWait; }
+
+    /**
+     * Bind the floor: a tick, owned and raised by the caller, below
+     * which no future request falls. acquire() panics on a request
+     * below it.
+     */
+    void bindFloor(const Tick *tick) { floor = tick; }
+
+    /**
+     * Drop the leading intervals that end before the floor. Exact: a
+     * grant at or after the floor can neither overlap such an interval
+     * nor touch it, so no answer changes.
+     */
+    void
+    retire()
+    {
+        size_t n = 0;
+        while (n < busy.size() && busy[n].end < *floor)
+            ++n;
+        if (n)
+            busy.eraseFront(n);
+    }
+
+    /** Busy intervals currently held (merged, not yet retired). */
+    size_t intervals() const { return busy.size(); }
 
     void
     reset()
@@ -317,6 +382,11 @@ class Resource
      * all future behavior. Without the clamp a saturated resource --
      * one continuous interval growing by a period per iteration --
      * would never compare tail-equal.
+     *
+     * With a bound floor above origin, the intervals ending between
+     * the two are reported only until the next retirement; call
+     * retire() first for an answer that does not depend on when that
+     * was.
      */
     void
     tailSince(Tick origin,
@@ -400,9 +470,11 @@ class Resource
         }
     }
 
+    static constexpr Tick noFloor = 0;
+
     Tick serviceInterval;
-    /// Disjoint merged busy intervals, sorted by start. Merging keeps
-    /// dense resources at one or two entries, inside the inline buffer.
+    const Tick *floor = &noFloor;
+    /// Disjoint merged busy intervals, sorted by start.
     SmallVec<Interval, 4> busy;
     Tick lastEnd = 0;
     uint64_t totalGrants = 0;

@@ -8,10 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/configs.hh"
+#include "arch/processor.hh"
 #include "core/block_engine.hh"
 #include "core/mimd_engine.hh"
+#include "epoch/epoch.hh"
+#include "kernels/catalog.hh"
+#include "sched/linearize.hh"
 #include "sched/plan.hh"
+#include "sched/simd_lowering.hh"
 
 using namespace dlp;
 using namespace dlp::core;
@@ -308,4 +315,84 @@ TEST(MimdEngine, MoreTilesMakeItFaster)
         return engine.run(plan, 256).cycles;
     };
     EXPECT_LT(runWith(8, 8), runWith(2, 2));
+}
+
+// ---------------------------------------------------------------------
+// Calendar retirement: the shared resources an engine binds to its
+// floor hold a bounded calendar however long the run.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Largest calendar over the engine's mesh links and its memory
+ * system's ports, after retiring each up to the engine's last floor
+ * (so the count is the live calendar, not whatever the last lazy
+ * retirement happened to leave).
+ */
+size_t
+largestCalendar(mem::MemorySystem &memory, noc::MeshNetwork &mesh)
+{
+    size_t worst = 0;
+    auto visit = [&worst](sim::Resource &r) {
+        r.retire();
+        worst = std::max(worst, r.intervals());
+    };
+    for (auto *set : {&memory.smc().bankPortResources(),
+                      &memory.smc().storeBufResources(),
+                      &memory.smc().channelResources(),
+                      &memory.l1().portResources(),
+                      &memory.l2().portResources()})
+        for (auto &r : *set)
+            visit(r);
+    mesh.forEachLink(visit);
+    return worst;
+}
+
+/** Run kernel on config over records (every activation simulated). */
+size_t
+calendarAfter(const std::string &kernel, const std::string &config,
+              uint64_t records)
+{
+    epoch::FastForwardGuard guard;
+    epoch::setFastForwardEnabled(false);
+    auto k = kernels::kernelByName(kernel);
+    auto m = arch::configByName(config);
+    uint64_t chunkRecords = 0;
+    auto layout = arch::makeStreamLayout(k, m, chunkRecords);
+    EXPECT_LE(records, chunkRecords);
+    mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
+    if (m.mech.localPC) {
+        auto plan = sched::lowerMimd(k, m, layout);
+        MimdEngine engine(m, memory);
+        engine.setTables(&k.tables);
+        engine.run(plan, records);
+        return largestCalendar(memory, engine.network());
+    }
+    auto plan = sched::lowerSimd(k, m, layout);
+    EXPECT_TRUE(plan.resident());
+    BlockEngine engine(m, memory);
+    engine.setTables(&k.tables);
+    engine.run(plan, records);
+    return largestCalendar(memory, engine.network());
+}
+
+} // namespace
+
+TEST(CalendarRetirement, ResidentSimdCalendarsDoNotGrowWithRecords)
+{
+    // Without retirement convert's link calendars grow about linearly
+    // (over a hundred intervals at 64 records, several hundred at 512).
+    size_t small = calendarAfter("convert", "S-O-D", 64);
+    size_t large = calendarAfter("convert", "S-O-D", 512);
+    EXPECT_GT(small, 0u);
+    EXPECT_LE(large, small);
+}
+
+TEST(CalendarRetirement, MimdCalendarsDoNotGrowWithRecords)
+{
+    size_t small = calendarAfter("md5", "M-D", 64);
+    size_t large = calendarAfter("md5", "M-D", 512);
+    EXPECT_GT(small, 0u);
+    EXPECT_LE(large, small);
 }

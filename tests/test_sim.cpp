@@ -318,6 +318,17 @@ class MapOracleResource
     uint64_t grants() const { return totalGrants; }
     Tick waitedTicks() const { return totalWait; }
 
+    void
+    tailSince(Tick origin,
+              std::vector<std::pair<int64_t, int64_t>> &out) const
+    {
+        out.clear();
+        for (const auto &[start, end] : busy)
+            if (end > origin)
+                out.emplace_back(int64_t(std::max(start, origin) - origin),
+                                 int64_t(end - origin));
+    }
+
   private:
     Tick
     findWindow(Tick earliest, Tick len) const
@@ -415,6 +426,64 @@ TEST(ResourceOracle, BurstAcquiresSpanningMergesMatch)
     }
     EXPECT_EQ(flat.grants(), oracle.grants());
     EXPECT_EQ(flat.waitedTicks(), oracle.waitedTicks());
+}
+
+TEST(ResourceOracle, RetirementBelowARisingFloorMatchesMapCalendar)
+{
+    // The engines' pattern: requests land anywhere in a window above a
+    // floor that only rises. A calendar bound to that floor must answer
+    // exactly as the never-retiring map does, while holding only the
+    // window's worth of intervals.
+    const Tick window = 512;
+    for (Tick interval : {Tick(1), Tick(3)}) {
+        Tick floor = 0;
+        Resource retiring(interval);
+        retiring.bindFloor(&floor);
+        Resource unbound(interval);
+        MapOracleResource oracle(interval);
+        std::vector<std::pair<int64_t, int64_t>> tail, oracleTail;
+        size_t peak = 0;
+        uint64_t s = 4242;
+        for (int i = 0; i < 20000; ++i) {
+            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+            // Units average 1.5 per step and the floor rises 2 service
+            // intervals per step on average: three-quarters utilization.
+            floor += (s >> 40) % (4 * interval + 1);
+            Tick earliest = floor + (s >> 20) % window;
+            uint64_t units = 1 + ((s >> 10) % 2);
+            Tick grant = oracle.acquireMany(earliest, units);
+            ASSERT_EQ(retiring.acquireMany(earliest, units), grant)
+                << "interval " << interval << " step " << i;
+            unbound.acquireMany(earliest, units);
+            peak = std::max(peak, retiring.intervals());
+
+            Tick probe = floor + (s >> 50) % window;
+            EXPECT_EQ(retiring.idleAt(probe), oracle.idleAt(probe))
+                << "probe step " << i;
+            if (i % 16 == 0) {
+                Tick origin = floor + (s >> 56) % 8;
+                retiring.tailSince(origin, tail);
+                oracle.tailSince(origin, oracleTail);
+                EXPECT_EQ(tail, oracleTail) << "tail step " << i;
+            }
+        }
+        EXPECT_EQ(retiring.grants(), oracle.grants());
+        EXPECT_EQ(retiring.waitedTicks(), oracle.waitedTicks());
+        EXPECT_EQ(retiring.nextFree(), oracle.nextFree());
+        // Bounded by the window while the unbound calendar keeps every
+        // interval since tick 0.
+        EXPECT_LE(peak, window / interval);
+        EXPECT_GT(unbound.intervals(), 10 * peak);
+    }
+}
+
+TEST(Resource, AcquireBelowTheFloorPanics)
+{
+    Tick floor = 100;
+    Resource port(1);
+    port.bindFloor(&floor);
+    EXPECT_EQ(port.acquire(100), 100u);
+    EXPECT_THROW(port.acquire(99), PanicError);
 }
 
 // ---------------------------------------------------------------------
