@@ -13,6 +13,11 @@
  *  - md5/blowfish/rijndael/vertex-skinning prefer M-D,
  *  - Flexible beats fixed S by ~55%, fixed S-O by ~20%, fixed M-D by ~5%.
  *
+ * Usage: bench_figure5 [--quick] [--jobs N] [--audit] [--check]
+ *                      [--store=DIR] [--trace-out=FILE] [--timeseries=N]
+ *                      [--fast-forward | --no-fast-forward] [--help]
+ * --quick divides every kernel's scale by 8; --jobs (or DLP_JOBS) runs
+ * the grid's cells concurrently on the sweep driver.
  * --audit (or DLP_AUDIT=1) evaluates the conservation invariants on
  * every run; --check (or DLP_CHECK=1) statically verifies every
  * scheduled program before it runs and aborts on Error findings.
@@ -50,17 +55,34 @@
 using namespace dlp;
 using namespace dlp::analysis;
 
+namespace {
+
+/// The Usage block of the header comment, printed by --help.
+const char *const usage =
+    "Usage: bench_figure5 [--quick] [--jobs N] [--audit] [--check]\n"
+    "                     [--store=DIR] [--trace-out=FILE] [--timeseries=N]\n"
+    "                     [--fast-forward | --no-fast-forward] [--help]\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
     unsigned jobs = 0; // 0 = DLP_JOBS environment default
+    auto value = [&](int &i) -> const char * {
+        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        return argv[++i];
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
+        if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(usage, stdout);
+            return 0;
+        } else if (std::strcmp(argv[i], "--quick") == 0)
             scaleDiv = 8;
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = driver::JobPool::parseJobsFlag(argv[++i]);
+        else if (std::strcmp(argv[i], "--jobs") == 0)
+            jobs = driver::JobPool::parseJobsFlag(value(i));
         else if (std::strcmp(argv[i], "--audit") == 0)
             verify::setAuditEnabled(true);
         else if (std::strcmp(argv[i], "--check") == 0)
@@ -71,22 +93,22 @@ main(int argc, char **argv)
             epoch::setFastForwardEnabled(false);
         else if (std::strncmp(argv[i], "--store=", 8) == 0)
             driver::setDefaultStoreDir(argv[i] + 8);
-        else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc)
-            driver::setDefaultStoreDir(argv[++i]);
+        else if (std::strcmp(argv[i], "--store") == 0)
+            driver::setDefaultStoreDir(value(i));
         else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
             obs::setOutputPath(argv[i] + 12);
             obs::setRecording(true);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            obs::setOutputPath(argv[++i]);
+        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+            obs::setOutputPath(value(i));
             obs::setRecording(true);
         } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(argv[i] + 13, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--timeseries") == 0 &&
-                   i + 1 < argc) {
+                driver::parseUintFlag("--timeseries", argv[i] + 13));
+        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(argv[++i], nullptr, 10));
+                driver::parseUintFlag("--timeseries", value(i)));
+        } else {
+            fatal("unknown option '%s' (see --help)", argv[i]);
         }
     }
     unsigned effectiveJobs = jobs ? jobs : driver::JobPool::defaultWorkers();

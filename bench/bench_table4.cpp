@@ -9,7 +9,7 @@
  *
  * Usage: bench_table4 [--quick] [--jobs N] [--audit] [--check]
  *                     [--store=DIR] [--trace-out=FILE] [--timeseries=N]
- *                     [--fast-forward | --no-fast-forward]
+ *                     [--fast-forward | --no-fast-forward] [--help]
  * The 13 baseline simulations are independent; --jobs (or DLP_JOBS)
  * runs them concurrently on the sweep driver. --audit (or DLP_AUDIT=1)
  * checks every run against the conservation invariants and fails the
@@ -23,6 +23,7 @@
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -43,17 +44,34 @@
 using namespace dlp;
 using namespace dlp::analysis;
 
+namespace {
+
+/// The Usage block of the header comment, printed by --help.
+const char *const usage =
+    "Usage: bench_table4 [--quick] [--jobs N] [--audit] [--check]\n"
+    "                    [--store=DIR] [--trace-out=FILE] [--timeseries=N]\n"
+    "                    [--fast-forward | --no-fast-forward] [--help]\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
     driver::SweepOptions opts;
+    auto value = [&](int &i) -> const char * {
+        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        return argv[++i];
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
+        if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(usage, stdout);
+            return 0;
+        } else if (std::strcmp(argv[i], "--quick") == 0)
             scaleDiv = 8;
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            opts.jobs = driver::JobPool::parseJobsFlag(argv[++i]);
+        else if (std::strcmp(argv[i], "--jobs") == 0)
+            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
         else if (std::strcmp(argv[i], "--audit") == 0)
             verify::setAuditEnabled(true);
         else if (std::strcmp(argv[i], "--check") == 0)
@@ -64,22 +82,22 @@ main(int argc, char **argv)
             epoch::setFastForwardEnabled(false);
         else if (std::strncmp(argv[i], "--store=", 8) == 0)
             opts.storeDir = argv[i] + 8;
-        else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc)
-            opts.storeDir = argv[++i];
+        else if (std::strcmp(argv[i], "--store") == 0)
+            opts.storeDir = value(i);
         else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
             obs::setOutputPath(argv[i] + 12);
             obs::setRecording(true);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            obs::setOutputPath(argv[++i]);
+        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
+            obs::setOutputPath(value(i));
             obs::setRecording(true);
         } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(argv[i] + 13, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--timeseries") == 0 &&
-                   i + 1 < argc) {
+                driver::parseUintFlag("--timeseries", argv[i] + 13));
+        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(argv[++i], nullptr, 10));
+                driver::parseUintFlag("--timeseries", value(i)));
+        } else {
+            fatal("unknown option '%s' (see --help)", argv[i]);
         }
     }
 

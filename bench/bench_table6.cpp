@@ -12,8 +12,13 @@
  * report our records-per-kilocycle (clock normalization to each
  * reference's frequency is the paper's step we cannot reproduce without
  * its cycle-time model).
+ *
+ * Usage: bench_table6 [--quick] [--jobs N] [--help]
+ * --quick divides every kernel's scale by 8; --jobs (or DLP_JOBS) runs
+ * the simulations concurrently on the sweep driver.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -26,6 +31,14 @@
 using namespace dlp;
 using namespace dlp::analysis;
 
+namespace {
+
+/// The Usage block of the header comment, printed by --help.
+const char *const usage =
+    "Usage: bench_table6 [--quick] [--jobs N] [--help]\n";
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -33,10 +46,17 @@ main(int argc, char **argv)
     uint64_t scaleDiv = 1;
     unsigned jobs = 0; // 0 = DLP_JOBS environment default
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
+        if (std::strcmp(argv[i], "--help") == 0) {
+            std::fputs(usage, stdout);
+            return 0;
+        } else if (std::strcmp(argv[i], "--quick") == 0) {
             scaleDiv = 8;
-        else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+        } else if (std::strcmp(argv[i], "--jobs") == 0) {
+            fatal_if(i + 1 >= argc, "--jobs needs an argument");
             jobs = driver::JobPool::parseJobsFlag(argv[++i]);
+        } else {
+            fatal("unknown option '%s' (see --help)", argv[i]);
+        }
     }
 
     struct Row

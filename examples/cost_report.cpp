@@ -45,42 +45,9 @@
 #include "driver/job_pool.hh"
 #include "driver/sweep.hh"
 #include "kernels/catalog.hh"
-#include "sched/linearize.hh"
-#include "sched/simd_lowering.hh"
 #include "verify/cost_invariants.hh"
 
 using namespace dlp;
-
-namespace {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            out.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-/** The cost report for the plan (kernel, config) would execute. */
-cost::CostReport
-analyze(const kernels::Kernel &k, const core::MachineParams &m)
-{
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout = arch::makeStreamLayout(k, m, chunkRecords);
-    if (m.mech.localPC)
-        return cost::analyzeMimd(sched::lowerMimd(k, m, layout), m);
-    return cost::analyzeSimd(sched::lowerSimd(k, m, layout), m);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -103,21 +70,22 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--kernels") == 0) {
             std::string v = value(i);
             if (v != "all")
-                kernelNames = splitList(v);
+                kernelNames = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--configs") == 0) {
             std::string v = value(i);
             if (v != "all")
-                configNames = splitList(v);
+                configNames = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             jsonPath = value(i);
         } else if (std::strcmp(argv[i], "--validate") == 0) {
             validate = true;
         } else if (std::strcmp(argv[i], "--min-spearman") == 0) {
-            minSpearman = std::atof(value(i));
+            minSpearman =
+                driver::parseRealFlag("--min-spearman", value(i), -1.0, 1.0);
         } else if (std::strcmp(argv[i], "--scale-div") == 0) {
-            scaleDiv = std::strtoull(value(i), nullptr, 10);
+            scaleDiv = driver::parseUintFlag("--scale-div", value(i));
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            seed = std::strtoull(value(i), nullptr, 10);
+            seed = driver::parseUintFlag("--seed", value(i));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             jobs = driver::JobPool::parseJobsFlag(value(i));
         } else {
@@ -145,7 +113,7 @@ main(int argc, char **argv)
     for (const auto &k : kernelSet) {
         for (const auto &configName : configNames) {
             core::MachineParams m = arch::configByName(configName);
-            cost::CostReport rep = analyze(k, m);
+            cost::CostReport rep = arch::lowerFor(k, m).cost;
             std::printf("%-20s %-9s %10.1f %8" PRIu64 " %6" PRIu64
                         " %6.2f  %s\n",
                         k.name.c_str(), configName.c_str(),

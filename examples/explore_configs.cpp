@@ -56,7 +56,7 @@ main(int argc, char **argv)
     if (!positional.empty())
         kernel = positional[0];
     scale = positional.size() > 1
-                ? std::strtoull(positional[1].c_str(), nullptr, 10)
+                ? driver::parseUintFlag("scale", positional[1])
                 : kernels::defaultScale(kernel);
 
     std::printf("exploring machine configurations for '%s' "

@@ -40,6 +40,7 @@
  * audits clean, 1 otherwise.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,48 +51,12 @@
 #include "arch/configs.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "verify/fuzz.hh"
 
 using namespace dlp;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            out.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-/** Parse "7" or "3..9" (inclusive) into a list of integers. */
-std::vector<uint64_t>
-parseNumbers(const std::string &arg)
-{
-    std::vector<uint64_t> out;
-    for (const auto &tok : splitList(arg)) {
-        size_t dots = tok.find("..");
-        if (dots == std::string::npos) {
-            out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-            continue;
-        }
-        uint64_t lo = std::strtoull(tok.substr(0, dots).c_str(), nullptr, 10);
-        uint64_t hi =
-            std::strtoull(tok.substr(dots + 2).c_str(), nullptr, 10);
-        fatal_if(hi < lo || hi - lo > 100000, "bad range '%s'", tok.c_str());
-        for (uint64_t v = lo; v <= hi; ++v)
-            out.push_back(v);
-    }
-    return out;
-}
 
 json::Value
 toJson(const verify::FuzzFailure &f)
@@ -136,18 +101,22 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 ||
             std::strcmp(argv[i], "--seeds") == 0) {
-            auto more = parseNumbers(value(i));
+            const char *flag = argv[i];
+            auto more = driver::parseUintListFlag(flag, value(i), 100000);
             seeds.insert(seeds.end(), more.begin(), more.end());
         } else if (std::strcmp(argv[i], "--configs") == 0) {
             std::string v = value(i);
             if (v != "all")
-                base.configs = splitList(v);
+                base.configs = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--records") == 0) {
-            base.records = unsigned(std::strtoul(value(i), nullptr, 10));
+            base.records = unsigned(
+                driver::parseUintFlag("--records", value(i), UINT_MAX));
         } else if (std::strcmp(argv[i], "--nodes") == 0) {
-            base.nodeBudget = unsigned(std::strtoul(value(i), nullptr, 10));
+            base.nodeBudget = unsigned(
+                driver::parseUintFlag("--nodes", value(i), UINT_MAX));
         } else if (std::strcmp(argv[i], "--loops") == 0) {
-            base.loops = unsigned(std::strtoul(value(i), nullptr, 10));
+            base.loops = unsigned(
+                driver::parseUintFlag("--loops", value(i), UINT_MAX));
         } else if (std::strcmp(argv[i], "--no-tables") == 0) {
             base.tables = false;
         } else if (std::strcmp(argv[i], "--no-wide") == 0) {
@@ -174,7 +143,7 @@ main(int argc, char **argv)
         }
     }
     if (seeds.empty())
-        seeds = parseNumbers("1..20");
+        seeds = driver::parseUintListFlag("--seeds", "1..20");
     for (const auto &c : base.configs)
         (void)arch::configByName(c);
 

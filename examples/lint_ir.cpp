@@ -40,32 +40,11 @@
 #include "check/verify.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "driver/job_pool.hh"
 #include "cost/cost.hh"
 #include "kernels/catalog.hh"
-#include "sched/linearize.hh"
-#include "sched/simd_lowering.hh"
 
 using namespace dlp;
-
-namespace {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            out.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -85,11 +64,11 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--kernels") == 0) {
             std::string v = value(i);
             if (v != "all")
-                kernelNames = splitList(v);
+                kernelNames = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--configs") == 0) {
             std::string v = value(i);
             if (v != "all")
-                configNames = splitList(v);
+                configNames = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             jsonPath = value(i);
         } else if (std::strcmp(argv[i], "--fail-on") == 0 ||
@@ -127,25 +106,9 @@ main(int argc, char **argv)
     for (const auto &configName : configNames) {
         core::MachineParams m = arch::configByName(configName);
         for (const auto &k : kernelSet) {
-            uint64_t chunkRecords = 0;
-            sched::StreamLayout layout =
-                arch::makeStreamLayout(k, m, chunkRecords);
-            sched::SimdPlan simd;
-            sched::MimdPlan mimd;
-            check::MappedProgram prog;
-            prog.kernel = &k;
-            cost::CostReport costRep;
-            if (m.mech.localPC) {
-                mimd = sched::lowerMimd(k, m, layout);
-                prog.mimd = &mimd;
-                costRep = cost::analyzeMimd(mimd, m);
-            } else {
-                simd = sched::lowerSimd(k, m, layout);
-                prog.simd = &simd;
-                costRep = cost::analyzeSimd(simd, m);
-            }
-            check::Report rep = check::verify(prog, m);
-            cost::perfRules(costRep, m, rep);
+            arch::LoweredKernel low = arch::lowerFor(k, m);
+            check::Report rep = check::verify(low.program(), m);
+            cost::perfRules(low.cost, m, rep);
             rep.sortFindings();
 
             ++programs;

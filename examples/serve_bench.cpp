@@ -64,28 +64,6 @@
 
 using namespace dlp;
 
-namespace {
-
-std::vector<uint64_t>
-parseList(const std::string &arg)
-{
-    std::vector<uint64_t> out;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            out.push_back(std::strtoull(
-                arg.substr(start, comma - start).c_str(), nullptr, 10));
-        start = comma + 1;
-    }
-    fatal_if(out.empty(), "empty list '%s'", arg.c_str());
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -106,14 +84,14 @@ main(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--cores") == 0) {
-            coreCounts = parseList(value(i));
+            coreCounts = driver::parseUintListFlag("--cores", value(i));
         } else if (std::strcmp(argv[i], "--rps") == 0) {
-            opts.traffic.rps = std::strtod(value(i), nullptr);
+            opts.traffic.rps = driver::parseRealFlag("--rps", value(i));
         } else if (std::strcmp(argv[i], "--requests") == 0) {
             opts.traffic.requests =
-                std::strtoull(value(i), nullptr, 10);
+                driver::parseUintFlag("--requests", value(i));
         } else if (std::strcmp(argv[i], "--batch") == 0) {
-            opts.traffic.batch = std::strtoull(value(i), nullptr, 10);
+            opts.traffic.batch = driver::parseUintFlag("--batch", value(i));
         } else if (std::strcmp(argv[i], "--mix") == 0) {
             opts.traffic.mix = traffic::parseMix(value(i));
         } else if (std::strcmp(argv[i], "--config") == 0) {
@@ -121,11 +99,13 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--arrival") == 0) {
             opts.traffic.arrival = traffic::arrivalByName(value(i));
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            opts.traffic.seed = std::strtoull(value(i), nullptr, 10);
+            opts.traffic.seed = driver::parseUintFlag("--seed", value(i));
         } else if (std::strcmp(argv[i], "--seed-pool") == 0) {
-            opts.traffic.seedPool = std::strtoull(value(i), nullptr, 10);
+            opts.traffic.seedPool =
+                driver::parseUintFlag("--seed-pool", value(i));
         } else if (std::strcmp(argv[i], "--bandwidth") == 0) {
-            opts.bandwidthWordsPerTick = std::strtod(value(i), nullptr);
+            opts.bandwidthWordsPerTick =
+                driver::parseRealFlag("--bandwidth", value(i));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             opts.jobs = driver::JobPool::parseJobsFlag(value(i));
         } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -140,10 +120,10 @@ main(int argc, char **argv)
             verify::setAuditEnabled(true);
         } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
             opts.timeseriesInterval =
-                std::strtoull(argv[i] + 13, nullptr, 10);
+                driver::parseUintFlag("--timeseries", argv[i] + 13);
         } else if (std::strcmp(argv[i], "--timeseries") == 0) {
             opts.timeseriesInterval =
-                std::strtoull(value(i), nullptr, 10);
+                driver::parseUintFlag("--timeseries", value(i));
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {

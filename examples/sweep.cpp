@@ -64,47 +64,6 @@
 
 using namespace dlp;
 
-namespace {
-
-std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= arg.size()) {
-        size_t comma = arg.find(',', start);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        if (comma > start)
-            out.push_back(arg.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-/** Parse "7" or "3..9" (inclusive) into a list of integers. */
-std::vector<uint64_t>
-parseNumbers(const std::string &arg)
-{
-    std::vector<uint64_t> out;
-    for (const auto &tok : splitList(arg)) {
-        size_t dots = tok.find("..");
-        if (dots == std::string::npos) {
-            out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-            continue;
-        }
-        uint64_t lo = std::strtoull(tok.substr(0, dots).c_str(), nullptr, 10);
-        uint64_t hi =
-            std::strtoull(tok.substr(dots + 2).c_str(), nullptr, 10);
-        fatal_if(hi < lo || hi - lo > 4096, "bad range '%s'", tok.c_str());
-        for (uint64_t v = lo; v <= hi; ++v)
-            out.push_back(v);
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -125,15 +84,15 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--kernels") == 0) {
             std::string v = value(i);
             if (v != "all")
-                kernels = splitList(v);
+                kernels = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--configs") == 0) {
             std::string v = value(i);
             if (v != "all")
-                configs = splitList(v);
+                configs = driver::splitList(v);
         } else if (std::strcmp(argv[i], "--scale-div") == 0) {
-            scaleDivs = parseNumbers(value(i));
+            scaleDivs = driver::parseUintListFlag("--scale-div", value(i));
         } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            seeds = parseNumbers(value(i));
+            seeds = driver::parseUintListFlag("--seeds", value(i));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             opts.jobs = driver::JobPool::parseJobsFlag(value(i));
         } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -158,10 +117,10 @@ main(int argc, char **argv)
             obs::setRecording(true);
         } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(argv[i] + 13, nullptr, 10));
+                driver::parseUintFlag("--timeseries", argv[i] + 13));
         } else if (std::strcmp(argv[i], "--timeseries") == 0) {
             obs::setTimeseriesInterval(
-                std::strtoull(value(i), nullptr, 10));
+                driver::parseUintFlag("--timeseries", value(i)));
         } else {
             fatal("unknown option '%s' (see the header of "
                   "examples/sweep.cpp)", argv[i]);

@@ -178,30 +178,10 @@ toJson(const arch::ExperimentResult &result)
     // pure, so the processor populates it unconditionally. Bound-side
     // fields feed verify::costInvariants; the rest are estimates.
     {
-        const arch::CostSummary &c = result.cost;
         json::Value cost = json::Value::object();
-        cost.set("analyzed", c.analyzed);
-        cost.set("mimd", c.mimd);
-        cost.set("unroll", uint64_t(c.unroll));
-        cost.set("perActivationRemap", c.perActivationRemap);
-        cost.set("segments", c.segments);
-        cost.set("mapTicksMin", c.mapTicksMin);
-        cost.set("boundTicksPerActivation", c.boundTicksPerActivation);
-        cost.set("setupTicks", c.setupTicks);
-        cost.set("minCycleInsts", c.minCycleInsts);
-        cost.set("minCycleLoadUnits", c.minCycleLoadUnits);
-        cost.set("minCycleStoreUnits", c.minCycleStoreUnits);
-        cost.set("tiles", c.tiles);
-        cost.set("gridCols", c.gridCols);
-        cost.set("criticalPathTicks", c.criticalPathTicks);
-        cost.set("maxPressureTicks", c.maxPressureTicks);
-        cost.set("bottleneck", c.bottleneck);
-        cost.set("hopMass", c.hopMass);
-        cost.set("hopLowerBound", c.hopLowerBound);
-        cost.set("smcReadUnits", c.smcReadUnits);
-        cost.set("smcWriteUnits", c.smcWriteUnits);
-        cost.set("rsOccupancy", c.rsOccupancy);
-        cost.set("predictedTicksPerRecord", c.predictedTicksPerRecord);
+        cost::visitFields(result.cost, [&](const char *key, const auto &f) {
+            cost.set(key, f);
+        });
         obj.set("cost", std::move(cost));
     }
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <type_traits>
 
-#include "check/verify.hh"
 #include "common/bitutils.hh"
 #include "common/logging.hh"
-#include "cost/cost.hh"
 #include "obs/timeline.hh"
 #include "sched/linearize.hh"
 #include "sched/simd_lowering.hh"
@@ -45,10 +44,24 @@ makeStreamLayout(const Kernel &k, const core::MachineParams &m,
     return layout;
 }
 
-ExperimentResult
-TripsProcessor::run(Workload &workload)
+LoweredKernel
+lowerFor(const Kernel &k, const core::MachineParams &m, uint64_t records,
+         uint64_t batches)
 {
-    return m.mech.localPC ? runMimd(workload) : runSimd(workload);
+    LoweredKernel low;
+    low.kernel = &k;
+    uint64_t chunkRecords = 0;
+    low.layout = makeStreamLayout(k, m, chunkRecords);
+    if (m.mech.localPC) {
+        const auto &plan = low.plan.emplace<sched::MimdPlan>(
+            sched::lowerMimd(k, m, low.layout));
+        low.cost = cost::analyzeMimd(plan, m, records, batches);
+    } else {
+        const auto &plan = low.plan.emplace<sched::SimdPlan>(
+            sched::lowerSimd(k, m, low.layout));
+        low.cost = cost::analyzeSimd(plan, m, records, batches);
+    }
+    return low;
 }
 
 namespace {
@@ -108,34 +121,6 @@ gateOnCheck(ExperimentResult &res, const check::Report &rep)
              rep.errors() == 1 ? "" : "s", rep.describe().c_str());
 }
 
-/** Flatten a cost report into the result's value-semantic summary. */
-void
-fillCost(ExperimentResult &res, const cost::CostReport &rep)
-{
-    res.cost.analyzed = rep.analyzed;
-    res.cost.mimd = rep.mimd;
-    res.cost.unroll = rep.unroll;
-    res.cost.perActivationRemap = rep.perActivationRemap;
-    res.cost.segments = rep.segments.size();
-    res.cost.mapTicksMin = rep.mapTicksMin;
-    res.cost.boundTicksPerActivation = rep.boundTicksPerActivation;
-    res.cost.setupTicks = rep.setupTicks;
-    res.cost.minCycleInsts = rep.minCycleInsts;
-    res.cost.minCycleLoadUnits = rep.minCycleLoadUnits;
-    res.cost.minCycleStoreUnits = rep.minCycleStoreUnits;
-    res.cost.tiles = rep.tiles;
-    res.cost.gridCols = rep.gridCols;
-    res.cost.criticalPathTicks = rep.criticalPathTicks;
-    res.cost.maxPressureTicks = rep.maxPressureTicks;
-    res.cost.bottleneck = rep.bottleneck;
-    res.cost.hopMass = rep.hopMass;
-    res.cost.hopLowerBound = rep.hopLowerBound;
-    res.cost.smcReadUnits = rep.smcReadUnits;
-    res.cost.smcWriteUnits = rep.smcWriteUnits;
-    res.cost.rsOccupancy = rep.rsOccupancy;
-    res.cost.predictedTicksPerRecord = rep.predictedTicksPerRecord;
-}
-
 /** Wall-clock timer for the host-performance stats of one run. */
 class HostTimer
 {
@@ -154,36 +139,28 @@ class HostTimer
     std::chrono::steady_clock::time_point start;
 };
 
-} // namespace
-
-ExperimentResult
-TripsProcessor::runSimd(Workload &workload)
+/**
+ * The engine-generic stages of one experiment: populate memory,
+ * simulate chunks and snapshot stats. Engine is BlockEngine (running a
+ * SimdPlan) or MimdEngine (running a MimdPlan); only the unroll padding
+ * and the fast-forward counters depend on which.
+ */
+template <class Engine, class Plan>
+void
+simulate(const core::MachineParams &m, Workload &workload,
+         const sched::StreamLayout &layout, const Plan &plan,
+         ExperimentResult &res)
 {
+    constexpr bool simd = std::is_same_v<Engine, core::BlockEngine>;
     const Kernel &k = workload.kernel();
-    ExperimentResult res;
-    res.kernel = k.name;
-    res.config = m.name;
 
-    obs::HostSpan expSpan(obs::Cat::Driver, "experiment",
-                          k.name + "/" + m.name);
-    HostTimer timer;
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout = makeStreamLayout(k, m, chunkRecords);
-    sched::SimdPlan plan = sched::lowerSimd(k, m, layout);
-    fillCost(res, cost::analyzeSimd(plan, m, workload.totalRecords(),
-                                    workload.numBatches()));
-    if (check::checkEnabled()) {
-        obs::HostSpan checkSpan(obs::Cat::Check, "staticCheck",
-                                k.name + "/" + m.name);
-        gateOnCheck(res, check::verify({&plan, nullptr, &k}, m));
-    }
-
+    // Populate memory.
     mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
     workload.populateIrregular([&memory](Addr a, Word w) {
         memory.mainMemory().writeWord(a, w);
     });
 
-    core::BlockEngine engine(m, memory);
+    Engine engine(m, memory);
     engine.setTables(&k.tables);
 
     // Periodic stat sampling (off when the interval is zero): the
@@ -197,17 +174,20 @@ TripsProcessor::runSimd(Workload &workload)
                               &memory.statsGroup()});
     engine.setSampler(&sampler);
 
+    // Simulate chunks.
+    const uint64_t chunkRecords = layout.chunkRecords;
     std::vector<Word> input;
     uint64_t records;
-    uint64_t chunks = 0;
     while (workload.nextBatch(input, records)) {
         std::vector<Word> output;
         output.reserve(records * k.outWords);
         bool multiChunk = records > chunkRecords;
         for (uint64_t first = 0; first < records; first += chunkRecords) {
             uint64_t count = std::min(chunkRecords, records - first);
-            uint64_t pad =
-                divCeil(count, plan.unroll) * plan.unroll;
+            // SIMD pads the last partial group of `unroll` instances.
+            uint64_t pad = count;
+            if constexpr (simd)
+                pad = divCeil(count, plan.unroll) * plan.unroll;
             loadChunk(memory, layout, k, input, first, count, pad);
             if (multiChunk) {
                 // The dataset exceeds the SMC (the paper's lu case):
@@ -228,12 +208,12 @@ TripsProcessor::runSimd(Workload &workload)
                          engine.now() - chunkStart, count);
             fill(res, stats);
             readChunk(memory, layout, k, output, count);
-            ++chunks;
         }
         workload.consumeOutput(output);
         res.records += records;
     }
 
+    // Snapshot stats.
     engine.setSampler(nullptr);
     res.timeseries = sampler.finalize(engine.now());
 
@@ -243,20 +223,21 @@ TripsProcessor::runSimd(Workload &workload)
     res.statGroups.push_back(memory.statsGroup().snapshot());
 
     res.hostEvents = engine.hostEvents();
-    res.hostSeconds = timer.seconds();
-    res.ffEpochs = engine.ffEpochs();
-    res.ffIterations = engine.ffIterations();
-    res.ffEventsSaved = engine.ffEventsSaved();
-    res.eventActivations = engine.eventActivations();
-
-    std::string err;
-    res.verified = workload.verify(err);
-    res.error = err;
-    return res;
+    if constexpr (simd) {
+        res.ffEpochs = engine.ffEpochs();
+        res.ffIterations = engine.ffIterations();
+        res.ffEventsSaved = engine.ffEventsSaved();
+        res.eventActivations = engine.eventActivations();
+    } else {
+        // MIMD never fast-forwards: every activation runs event-by-event.
+        res.eventActivations = res.activations;
+    }
 }
 
+} // namespace
+
 ExperimentResult
-TripsProcessor::runMimd(Workload &workload)
+TripsProcessor::run(Workload &workload)
 {
     const Kernel &k = workload.kernel();
     ExperimentResult res;
@@ -266,75 +247,29 @@ TripsProcessor::runMimd(Workload &workload)
     obs::HostSpan expSpan(obs::Cat::Driver, "experiment",
                           k.name + "/" + m.name);
     HostTimer timer;
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout = makeStreamLayout(k, m, chunkRecords);
-    sched::MimdPlan plan = sched::lowerMimd(k, m, layout);
-    fillCost(res, cost::analyzeMimd(plan, m, workload.totalRecords(),
-                                    workload.numBatches()));
+
+    // Lower and cost.
+    LoweredKernel low =
+        lowerFor(k, m, workload.totalRecords(), workload.numBatches());
+    res.cost = low.cost;
+
+    // Check.
     if (check::checkEnabled()) {
         obs::HostSpan checkSpan(obs::Cat::Check, "staticCheck",
                                 k.name + "/" + m.name);
-        gateOnCheck(res, check::verify({nullptr, &plan, &k}, m));
+        gateOnCheck(res, check::verify(low.program(), m));
     }
 
-    mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
-    workload.populateIrregular([&memory](Addr a, Word w) {
-        memory.mainMemory().writeWord(a, w);
-    });
-
-    core::MimdEngine engine(m, memory);
-    engine.setTables(&k.tables);
-
-    obs::StatSampler sampler(obs::timeseriesInterval(),
-                             {&engine.statsGroup(),
-                              &engine.network().statsGroup(),
-                              &memory.smc().statsGroup(),
-                              &memory.statsGroup()});
-    engine.setSampler(&sampler);
-
-    std::vector<Word> input;
-    uint64_t records;
-    while (workload.nextBatch(input, records)) {
-        std::vector<Word> output;
-        output.reserve(records * k.outWords);
-        bool multiChunk = records > chunkRecords;
-        for (uint64_t first = 0; first < records; first += chunkRecords) {
-            uint64_t count = std::min(chunkRecords, records - first);
-            loadChunk(memory, layout, k, input, first, count, count);
-            if (multiChunk) {
-                uint64_t words =
-                    count * (uint64_t(k.inWords) + k.outWords);
-                Tick done = memory.dma(first == 0 ? 0u : 1u,
-                                       static_cast<unsigned>(
-                                           std::min<uint64_t>(words,
-                                                              1u << 30)),
-                                       engine.now());
-                engine.advanceTo(done);
-            }
-            Tick chunkStart = engine.now();
-            core::RunStats stats = engine.run(plan, count);
-            OBS_SIM_SPAN(Engine, "chunk", chunkStart,
-                         engine.now() - chunkStart, count);
-            fill(res, stats);
-            readChunk(memory, layout, k, output, count);
-        }
-        workload.consumeOutput(output);
-        res.records += records;
-    }
-
-    engine.setSampler(nullptr);
-    res.timeseries = sampler.finalize(engine.now());
-
-    res.statGroups.push_back(engine.statsGroup().snapshot());
-    res.statGroups.push_back(engine.network().statsGroup().snapshot());
-    res.statGroups.push_back(memory.smc().statsGroup().snapshot());
-    res.statGroups.push_back(memory.statsGroup().snapshot());
-
-    res.hostEvents = engine.hostEvents();
+    // Populate memory, simulate chunks, snapshot stats.
+    if (const auto *plan = std::get_if<sched::SimdPlan>(&low.plan))
+        simulate<core::BlockEngine>(m, workload, low.layout, *plan, res);
+    else
+        simulate<core::MimdEngine>(m, workload, low.layout,
+                                   std::get<sched::MimdPlan>(low.plan),
+                                   res);
     res.hostSeconds = timer.seconds();
-    // MIMD never fast-forwards: every activation runs event-by-event.
-    res.eventActivations = res.activations;
 
+    // Verify.
     std::string err;
     res.verified = workload.verify(err);
     res.error = err;

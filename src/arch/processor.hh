@@ -1,9 +1,15 @@
 /**
  * @file
- * The top-level configurable processor: assembles the memory system, the
- * scheduler and the right execution engine for a machine configuration,
- * and runs complete workloads end to end (functional outputs verified
- * against the golden models by the workload itself).
+ * The top-level configurable processor. lowerFor() lowers a kernel the
+ * way a machine configuration executes it (stream layout, SIMD or MIMD
+ * plan, cost report); TripsProcessor::run() then drives a complete
+ * workload through one stage pipeline shared by both engines:
+ *
+ *   lower -> cost -> check -> populate memory -> simulate chunks
+ *         -> snapshot stats -> verify
+ *
+ * (functional outputs verified against the golden models by the
+ * workload itself).
  *
  * This is the primary entry point of the library:
  *
@@ -18,12 +24,15 @@
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "check/verify.hh"
 #include "common/stats.hh"
 #include "core/block_engine.hh"
 #include "core/machine.hh"
 #include "core/mimd_engine.hh"
+#include "cost/cost.hh"
 #include "kernels/workload.hh"
 #include "obs/sampler.hh"
 #include "sched/plan.hh"
@@ -52,48 +61,6 @@ struct CheckFinding
     std::string severity; ///< "error", "warning" or "info"
     std::string location; ///< block:iN.sM anchor
     std::string detail;   ///< human-readable specifics
-};
-
-/**
- * Whole-plan figures from the static cost model (src/cost), flattened
- * the same way AuditFinding/CheckFinding are so results can carry the
- * prediction without arch's interface depending on the cost library.
- * The analysis is pure -- populating it never perturbs simulation.
- */
-struct CostSummary
-{
-    bool analyzed = false; ///< false when lowering failed before analysis
-    bool mimd = false;
-    unsigned unroll = 1;
-    /// SIMD without instruction revitalization: the engine re-maps the
-    /// block for every activation.
-    bool perActivationRemap = false;
-    uint64_t segments = 0;
-
-    /// @name Sound-bound ingredients (see verify::costBoundTicks).
-    /// @{
-    uint64_t mapTicksMin = 0;
-    uint64_t boundTicksPerActivation = 0;
-    uint64_t setupTicks = 0;          ///< MIMD program broadcast
-    uint64_t minCycleInsts = 0;       ///< MIMD min CFG-cycle instructions
-    uint64_t minCycleLoadUnits = 0;   ///< MIMD min CFG-cycle bank ticks
-    uint64_t minCycleStoreUnits = 0;  ///< MIMD min CFG-cycle store ticks
-    uint64_t tiles = 0;
-    uint64_t gridCols = 0;
-    /// @}
-
-    /// @name Descriptive predictions (estimates, not bounds).
-    /// @{
-    uint64_t criticalPathTicks = 0;
-    uint64_t maxPressureTicks = 0;
-    std::string bottleneck;
-    uint64_t hopMass = 0;
-    uint64_t hopLowerBound = 0;
-    uint64_t smcReadUnits = 0;
-    uint64_t smcWriteUnits = 0;
-    double rsOccupancy = 0.0;
-    double predictedTicksPerRecord = 0.0;
-    /// @}
 };
 
 /** Outcome of running one workload on one configuration. */
@@ -179,7 +146,7 @@ struct ExperimentResult
      * the "cost" JSON object; verify::costInvariants audits the bound
      * side against the simulated cycle count.
      */
-    CostSummary cost;
+    cost::CostSummary cost;
 
     double
     opsPerCycle() const
@@ -210,22 +177,49 @@ class TripsProcessor
     const core::MachineParams &params() const { return m; }
 
   private:
-    ExperimentResult runSimd(kernels::Workload &workload);
-    ExperimentResult runMimd(kernels::Workload &workload);
-
     core::MachineParams m;
 };
 
 /**
  * Partition the SMC between a kernel's input, output and scratch
  * streams. @return the layout; chunkRecords receives the records per
- * SMC-resident chunk. Shared by the processor, the lint_ir linter and
- * the fuzzer's static-check mode, so every consumer sees the plan the
- * machine would really execute.
+ * SMC-resident chunk (also layout.chunkRecords).
  */
 sched::StreamLayout makeStreamLayout(const kernels::Kernel &k,
                                      const core::MachineParams &m,
                                      uint64_t &chunkRecords);
+
+/** A kernel lowered the way the machine executes it (see lowerFor). */
+struct LoweredKernel
+{
+    const kernels::Kernel *kernel = nullptr;
+    /// The SMC partition; layout.chunkRecords is the records per chunk.
+    sched::StreamLayout layout;
+    /// The SIMD or MIMD plan, as the configuration's localPC selects.
+    std::variant<sched::SimdPlan, sched::MimdPlan> plan;
+    /// The cost model's report on the plan, for the requested run shape.
+    cost::CostReport cost;
+
+    /** The plan as the static verifier takes it. */
+    check::MappedProgram
+    program() const
+    {
+        return {std::get_if<sched::SimdPlan>(&plan),
+                std::get_if<sched::MimdPlan>(&plan), kernel};
+    }
+};
+
+/**
+ * Lower (k, m) exactly as the processor does: the stream layout, then
+ * lowerSimd or lowerMimd as m.mech.localPC selects, then the cost model
+ * for a run of `records` records in `batches` dependent batches
+ * (records == 0: the asymptotic steady state). The one lowering entry
+ * of the processor, the linter, the cost report and the fuzzer, so
+ * every consumer sees the plan the machine would really execute. k must
+ * outlive the result.
+ */
+LoweredKernel lowerFor(const kernels::Kernel &k, const core::MachineParams &m,
+                       uint64_t records = 0, uint64_t batches = 1);
 
 } // namespace dlp::arch
 

@@ -397,6 +397,7 @@ analyzeSimd(const sched::SimdPlan &plan, const core::MachineParams &m,
         sc.weight = std::max<uint64_t>(1, seg.activations);
         rep.segments.push_back(std::move(sc));
     }
+    rep.segmentCount = rep.segments.size();
     if (rep.segments.empty())
         return rep;
 
@@ -468,43 +469,6 @@ analyzeSimd(const sched::SimdPlan &plan, const core::MachineParams &m,
     double denom = records ? double(records) : double(recsPerRun);
     rep.predictedTicksPerRecord = double(runs) * perRun / denom;
     return rep;
-}
-
-uint64_t
-boundTotalTicks(const CostReport &report, uint64_t activations,
-                uint64_t mappings, uint64_t records)
-{
-    if (!report.analyzed)
-        return 0;
-
-    if (report.mimd) {
-        if (report.tiles == 0)
-            return 0;
-        // Every tile walks floor(records/tiles) record-loop iterations;
-        // each iteration serializes one CFG cycle at one instruction per
-        // cycle, and all tiles of a row share that row's SMC bank and
-        // store-buffer port. The 2*mappings slack absorbs the partial
-        // first/last iterations of each chunked run.
-        uint64_t perTile = records / report.tiles;
-        uint64_t slack = 2 * mappings;
-        uint64_t iters = perTile > slack ? perTile - slack : 0;
-        uint64_t best = iters * report.minCycleInsts * ticksPerCycle;
-        best = std::max(best,
-                        iters * report.gridCols * report.minCycleLoadUnits);
-        best = std::max(best,
-                        iters * report.gridCols * report.minCycleStoreUnits);
-        return mappings * report.setupTicks + best;
-    }
-
-    if (activations == 0)
-        return 0;
-    // Pacing: every activation transition advances the schedule by at
-    // least the steady bound, and every mapping event (one per chunk
-    // without instruction revitalization, `mappings` with it) pays the
-    // map time first.
-    uint64_t maps = report.perActivationRemap ? 1 : mappings;
-    return maps * report.mapTicksMin +
-           (activations - 1) * report.boundTicksPerActivation;
 }
 
 } // namespace dlp::cost

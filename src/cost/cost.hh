@@ -16,8 +16,9 @@
  *  - a closed-form steady-state throughput bound
  *        ticks/activation >= max(gap + steadyWritePath, maxPressure).
  *
- * The bound side is *sound*: `boundTotalTicks` never exceeds the ticks
- * the event-kernel simulation reports for the same run (audited by
+ * The bound side is *sound*: recomputed from the report's CostSummary
+ * by `verify::costBoundTicks`, it never exceeds the ticks the
+ * event-kernel simulation reports for the same run (audited by
  * `verify::costInvariants` on every experiment and fuzzed via
  * `fuzz_ir --cost`). The estimate side (`predictedTicksPerRecord`) is a
  * throughput model used for ranking placements and configurations; it
@@ -87,25 +88,35 @@ struct SegmentCost
     double rsOccupancy = 0.0; ///< placed insts / reservation stations
 };
 
-/** Whole-plan cost report. */
-struct CostReport
+/**
+ * The whole-plan figures of a cost report: what an ExperimentResult
+ * carries and exports as its "cost" JSON object, and everything
+ * verify::costBoundTicks needs to recompute the sound bound.
+ */
+struct CostSummary
 {
-    bool analyzed = false;
+    bool analyzed = false; ///< false when lowering failed before analysis
     bool mimd = false;
-    std::string plan;
-    std::string config;
-
     unsigned unroll = 1;
     /// SIMD without instruction revitalization: the engine re-maps the
     /// block for every activation (the pacing gap is the map time).
     bool perActivationRemap = false;
+    uint64_t segmentCount = 0; ///< plan segments analyzed (SIMD)
 
-    std::vector<SegmentCost> segments;
-
-    /// @name SIMD whole-plan aggregates.
+    /// @name Sound-bound ingredients (see verify::costBoundTicks).
     /// @{
     uint64_t mapTicksMin = 0;              ///< min over segments
     uint64_t boundTicksPerActivation = 0;  ///< min over segments boundTicks
+    uint64_t setupTicks = 0;          ///< MIMD broadcast + preload per mapping
+    uint64_t minCycleInsts = 0;       ///< MIMD min CFG-cycle instructions
+    uint64_t minCycleLoadUnits = 0;   ///< MIMD min CFG-cycle SMC bank ticks
+    uint64_t minCycleStoreUnits = 0;  ///< MIMD min CFG-cycle store ticks
+    uint64_t tiles = 0;               ///< record-loop stride (grid tiles)
+    uint64_t gridCols = 0;            ///< tiles sharing one row's bank
+    /// @}
+
+    /// @name Descriptive predictions (estimates, not bounds).
+    /// @{
     uint64_t criticalPathTicks = 0;        ///< max over segments
     uint64_t maxPressureTicks = 0;         ///< binding segment's pressure
     std::string bottleneck;                ///< binding segment's resource
@@ -114,20 +125,52 @@ struct CostReport
     uint64_t smcReadUnits = 0;             ///< sum over segments
     uint64_t smcWriteUnits = 0;            ///< sum over segments
     double rsOccupancy = 0.0;              ///< max over segments
-    /// @}
-
-    /// @name MIMD whole-plan figures.
-    /// @{
-    uint64_t setupTicks = 0;          ///< broadcast + preload per mapping
-    uint64_t minCycleInsts = 0;       ///< min CFG-cycle instruction count
-    uint64_t minCycleLoadUnits = 0;   ///< min CFG-cycle SMC bank ticks
-    uint64_t minCycleStoreUnits = 0;  ///< min CFG-cycle store-buffer ticks
-    uint64_t tiles = 0;               ///< record-loop stride (grid tiles)
-    uint64_t gridCols = 0;            ///< tiles sharing one row's bank
-    /// @}
-
     /// Throughput estimate for ranking; not a sound bound.
     double predictedTicksPerRecord = 0.0;
+    /// @}
+};
+
+/**
+ * The summary's one field table: calls v(key, member) for every field,
+ * keyed and ordered as the exported "cost" JSON object. The exporter,
+ * the store codec (both directions) and the tests all walk it, so a new
+ * field is added here and nowhere else. `Summary` is CostSummary or
+ * const CostSummary.
+ */
+template <class Summary, class Visitor>
+void
+visitFields(Summary &c, Visitor &&v)
+{
+    v("analyzed", c.analyzed);
+    v("mimd", c.mimd);
+    v("unroll", c.unroll);
+    v("perActivationRemap", c.perActivationRemap);
+    v("segments", c.segmentCount);
+    v("mapTicksMin", c.mapTicksMin);
+    v("boundTicksPerActivation", c.boundTicksPerActivation);
+    v("setupTicks", c.setupTicks);
+    v("minCycleInsts", c.minCycleInsts);
+    v("minCycleLoadUnits", c.minCycleLoadUnits);
+    v("minCycleStoreUnits", c.minCycleStoreUnits);
+    v("tiles", c.tiles);
+    v("gridCols", c.gridCols);
+    v("criticalPathTicks", c.criticalPathTicks);
+    v("maxPressureTicks", c.maxPressureTicks);
+    v("bottleneck", c.bottleneck);
+    v("hopMass", c.hopMass);
+    v("hopLowerBound", c.hopLowerBound);
+    v("smcReadUnits", c.smcReadUnits);
+    v("smcWriteUnits", c.smcWriteUnits);
+    v("rsOccupancy", c.rsOccupancy);
+    v("predictedTicksPerRecord", c.predictedTicksPerRecord);
+}
+
+/** Whole-plan cost report: the summary plus its per-segment detail. */
+struct CostReport : CostSummary
+{
+    std::string plan;
+    std::string config;
+    std::vector<SegmentCost> segments;
 };
 
 /**
@@ -148,14 +191,6 @@ CostReport analyzeSimd(const sched::SimdPlan &plan,
 CostReport analyzeMimd(const sched::MimdPlan &plan,
                        const core::MachineParams &m, uint64_t records = 0,
                        uint64_t batches = 1);
-
-/**
- * Sound lower bound on total run ticks for a finished run with the
- * given counters (activations/mappings as RunStats reports them,
- * records as driven). Zero when the report is not analyzed.
- */
-uint64_t boundTotalTicks(const CostReport &report, uint64_t activations,
-                         uint64_t mappings, uint64_t records);
 
 /**
  * Append PERF-* advisory findings (PERF-HOP, PERF-CAP, PERF-UNROLL)

@@ -1,5 +1,7 @@
 #include "store/codec.hh"
 
+#include <type_traits>
+
 #include "common/logging.hh"
 
 namespace dlp::store {
@@ -12,6 +14,21 @@ asU64(const json::Value &v)
     // Exact even above 2^53: cycle counts and distribution
     // accumulators of very long simulations round-trip bit-identically.
     return v.asUInt64();
+}
+
+/** Decode one cost-summary field of whatever type the table gives. */
+template <class T>
+void
+readField(const json::Value &v, T &out)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        out = v.asBool();
+    else if constexpr (std::is_same_v<T, double>)
+        out = v.asNumber();
+    else if constexpr (std::is_same_v<T, std::string>)
+        out = v.asString();
+    else
+        out = T(asU64(v));
 }
 
 json::Value
@@ -202,30 +219,10 @@ resultToJson(const arch::ExperimentResult &result)
     // Static cost model. Flat u64/double/bool/string fields; written
     // raw so the round-trip is exact.
     {
-        const arch::CostSummary &c = result.cost;
         json::Value cost = json::Value::object();
-        cost.set("analyzed", c.analyzed);
-        cost.set("mimd", c.mimd);
-        cost.set("unroll", uint64_t(c.unroll));
-        cost.set("perActivationRemap", c.perActivationRemap);
-        cost.set("segments", c.segments);
-        cost.set("mapTicksMin", c.mapTicksMin);
-        cost.set("boundTicksPerActivation", c.boundTicksPerActivation);
-        cost.set("setupTicks", c.setupTicks);
-        cost.set("minCycleInsts", c.minCycleInsts);
-        cost.set("minCycleLoadUnits", c.minCycleLoadUnits);
-        cost.set("minCycleStoreUnits", c.minCycleStoreUnits);
-        cost.set("tiles", c.tiles);
-        cost.set("gridCols", c.gridCols);
-        cost.set("criticalPathTicks", c.criticalPathTicks);
-        cost.set("maxPressureTicks", c.maxPressureTicks);
-        cost.set("bottleneck", c.bottleneck);
-        cost.set("hopMass", c.hopMass);
-        cost.set("hopLowerBound", c.hopLowerBound);
-        cost.set("smcReadUnits", c.smcReadUnits);
-        cost.set("smcWriteUnits", c.smcWriteUnits);
-        cost.set("rsOccupancy", c.rsOccupancy);
-        cost.set("predictedTicksPerRecord", c.predictedTicksPerRecord);
+        cost::visitFields(result.cost, [&](const char *key, const auto &f) {
+            cost.set(key, f);
+        });
         obj.set("cost", std::move(cost));
     }
 
@@ -295,30 +292,9 @@ resultFromJson(const json::Value &doc)
     // Cost summary: absent in pre-cost-model documents, which keep the
     // default (analyzed == false) summary.
     if (const json::Value *v = doc.find("cost")) {
-        arch::CostSummary &c = r.cost;
-        c.analyzed = v->at("analyzed").asBool();
-        c.mimd = v->at("mimd").asBool();
-        c.unroll = unsigned(asU64(v->at("unroll")));
-        c.perActivationRemap = v->at("perActivationRemap").asBool();
-        c.segments = asU64(v->at("segments"));
-        c.mapTicksMin = asU64(v->at("mapTicksMin"));
-        c.boundTicksPerActivation = asU64(v->at("boundTicksPerActivation"));
-        c.setupTicks = asU64(v->at("setupTicks"));
-        c.minCycleInsts = asU64(v->at("minCycleInsts"));
-        c.minCycleLoadUnits = asU64(v->at("minCycleLoadUnits"));
-        c.minCycleStoreUnits = asU64(v->at("minCycleStoreUnits"));
-        c.tiles = asU64(v->at("tiles"));
-        c.gridCols = asU64(v->at("gridCols"));
-        c.criticalPathTicks = asU64(v->at("criticalPathTicks"));
-        c.maxPressureTicks = asU64(v->at("maxPressureTicks"));
-        c.bottleneck = v->at("bottleneck").asString();
-        c.hopMass = asU64(v->at("hopMass"));
-        c.hopLowerBound = asU64(v->at("hopLowerBound"));
-        c.smcReadUnits = asU64(v->at("smcReadUnits"));
-        c.smcWriteUnits = asU64(v->at("smcWriteUnits"));
-        c.rsOccupancy = v->at("rsOccupancy").asNumber();
-        c.predictedTicksPerRecord =
-            v->at("predictedTicksPerRecord").asNumber();
+        cost::visitFields(r.cost, [&](const char *key, auto &f) {
+            readField(v->at(key), f);
+        });
     }
 
     if (const json::Value *ts = doc.find("timeseries"))

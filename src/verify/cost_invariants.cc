@@ -11,7 +11,7 @@ namespace dlp::verify {
 uint64_t
 costBoundTicks(const arch::ExperimentResult &res)
 {
-    const arch::CostSummary &c = res.cost;
+    const cost::CostSummary &c = res.cost;
     if (!c.analyzed)
         return 0;
 

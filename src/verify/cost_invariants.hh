@@ -3,11 +3,12 @@
  * Cross-validation of the static cost model (src/cost) against the
  * simulator, in two layers:
  *
- *  - Soundness: `costBoundTicks` recomputes the model's closed-form
- *    lower bound on total run ticks from the flattened CostSummary an
- *    ExperimentResult carries. The `cost-lower-bound` invariant in the
- *    audit registry asserts it never exceeds the ticks the simulation
- *    actually took; a violation means the "bound" was not a bound.
+ *  - Soundness: `costBoundTicks` is the one home of the model's
+ *    closed-form lower bound on total run ticks, computed from the
+ *    cost::CostSummary an ExperimentResult carries. The
+ *    `cost-lower-bound` invariant in the audit registry asserts it never
+ *    exceeds the ticks the simulation actually took; a violation means
+ *    the "bound" was not a bound.
  *
  *  - Fidelity: `costInvariants` additionally checks, per kernel, that
  *    the model's throughput *estimate* ranks machine configurations the
@@ -28,7 +29,7 @@ namespace dlp::verify {
 
 /**
  * The cost model's sound lower bound on total run ticks for this
- * result, recomputed from the flattened summary and the run's own
+ * result, computed from its cost summary and the run's own
  * activation/mapping/record counters. Zero when the plan was never
  * analyzed (no claim).
  */

@@ -13,8 +13,6 @@
 #include "epoch/epoch.hh"
 #include "kernels/interp.hh"
 #include "kernels/workload.hh"
-#include "sched/linearize.hh"
-#include "sched/simd_lowering.hh"
 #include "store/codec.hh"
 #include "verify/audit.hh"
 #include "verify/cost_invariants.hh"
@@ -416,21 +414,7 @@ check::Report
 staticReport(const Kernel &kern, const std::string &config)
 {
     core::MachineParams m = arch::configByName(config);
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout =
-        arch::makeStreamLayout(kern, m, chunkRecords);
-    check::MappedProgram prog;
-    prog.kernel = &kern;
-    sched::SimdPlan simd;
-    sched::MimdPlan mimd;
-    if (m.mech.localPC) {
-        mimd = sched::lowerMimd(kern, m, layout);
-        prog.mimd = &mimd;
-    } else {
-        simd = sched::lowerSimd(kern, m, layout);
-        prog.simd = &simd;
-    }
-    return check::verify(prog, m);
+    return check::verify(arch::lowerFor(kern, m).program(), m);
 }
 
 /** First Error-severity rule of a report, or "". */

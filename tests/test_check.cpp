@@ -22,8 +22,6 @@
 #include "check/verify.hh"
 #include "kernels/catalog.hh"
 #include "kernels/workload.hh"
-#include "sched/linearize.hh"
-#include "sched/simd_lowering.hh"
 #include "verify/fuzz.hh"
 
 using namespace dlp;
@@ -701,21 +699,8 @@ TEST(CheckCatalog, EveryScheduledProgramLintsErrorFree)
     for (const auto &configName : arch::allConfigNames()) {
         core::MachineParams m = arch::configByName(configName);
         for (const auto &k : kernels::allKernels()) {
-            uint64_t chunkRecords = 0;
-            sched::StreamLayout layout =
-                arch::makeStreamLayout(k, m, chunkRecords);
-            sched::SimdPlan simd;
-            sched::MimdPlan mimd;
-            check::MappedProgram prog;
-            prog.kernel = &k;
-            if (m.mech.localPC) {
-                mimd = sched::lowerMimd(k, m, layout);
-                prog.mimd = &mimd;
-            } else {
-                simd = sched::lowerSimd(k, m, layout);
-                prog.simd = &simd;
-            }
-            check::Report rep = check::verify(prog, m);
+            check::Report rep =
+                check::verify(arch::lowerFor(k, m).program(), m);
             EXPECT_EQ(rep.errors(), 0u)
                 << k.name << " on " << configName << ":\n"
                 << rep.describe();

@@ -14,8 +14,10 @@
 
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "check/report.hh"
@@ -23,9 +25,7 @@
 #include "cost/cost.hh"
 #include "driver/sweep.hh"
 #include "kernels/catalog.hh"
-#include "sched/linearize.hh"
 #include "sched/rank.hh"
-#include "sched/simd_lowering.hh"
 #include "store/codec.hh"
 #include "verify/cost_invariants.hh"
 
@@ -34,24 +34,25 @@ using namespace dlp;
 namespace {
 
 /** Lower the plan (kernel, config) exactly as the processor would. */
+template <class Plan>
+Plan
+planFor(const std::string &kernel, const std::string &config)
+{
+    kernels::Kernel k = kernels::kernelByName(kernel);
+    return std::get<Plan>(
+        arch::lowerFor(k, arch::configByName(config)).plan);
+}
+
 sched::SimdPlan
 simdPlanFor(const std::string &kernel, const std::string &config)
 {
-    kernels::Kernel k = kernels::kernelByName(kernel);
-    core::MachineParams m = arch::configByName(config);
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout = arch::makeStreamLayout(k, m, chunkRecords);
-    return sched::lowerSimd(k, m, layout);
+    return planFor<sched::SimdPlan>(kernel, config);
 }
 
 sched::MimdPlan
 mimdPlanFor(const std::string &kernel, const std::string &config)
 {
-    kernels::Kernel k = kernels::kernelByName(kernel);
-    core::MachineParams m = arch::configByName(config);
-    uint64_t chunkRecords = 0;
-    sched::StreamLayout layout = arch::makeStreamLayout(k, m, chunkRecords);
-    return sched::lowerMimd(k, m, layout);
+    return planFor<sched::MimdPlan>(kernel, config);
 }
 
 } // namespace
@@ -341,6 +342,21 @@ TEST(RankPlacements, OrdersByPredictionAndKeepsTiesStable)
 
 // --- Store round trip of the cost block -----------------------------------
 
+namespace {
+
+/** Every summary field as "key=value", walked through the field table. */
+std::vector<std::string>
+fieldTexts(const cost::CostSummary &c)
+{
+    std::vector<std::string> out;
+    cost::visitFields(c, [&](const char *key, const auto &f) {
+        out.push_back(std::string(key) + "=" + json::write(json::Value(f)));
+    });
+    return out;
+}
+
+} // namespace
+
 TEST(CostCodec, CostSummarySurvivesTheStoreRoundTrip)
 {
     setQuietLogging(true);
@@ -349,18 +365,53 @@ TEST(CostCodec, CostSummarySurvivesTheStoreRoundTrip)
     ASSERT_TRUE(res.cost.analyzed);
     arch::ExperimentResult dec =
         store::resultFromJson(store::resultToJson(res));
-    EXPECT_EQ(dec.cost.analyzed, res.cost.analyzed);
-    EXPECT_EQ(dec.cost.mimd, res.cost.mimd);
-    EXPECT_EQ(dec.cost.unroll, res.cost.unroll);
-    EXPECT_EQ(dec.cost.mapTicksMin, res.cost.mapTicksMin);
-    EXPECT_EQ(dec.cost.boundTicksPerActivation,
-              res.cost.boundTicksPerActivation);
-    EXPECT_EQ(dec.cost.setupTicks, res.cost.setupTicks);
-    EXPECT_EQ(dec.cost.bottleneck, res.cost.bottleneck);
-    EXPECT_DOUBLE_EQ(dec.cost.predictedTicksPerRecord,
-                     res.cost.predictedTicksPerRecord);
+    EXPECT_EQ(fieldTexts(dec.cost), fieldTexts(res.cost));
     // The recomputed sound bound agrees bit-for-bit after decoding.
     EXPECT_EQ(verify::costBoundTicks(dec), verify::costBoundTicks(res));
+
+    // A summary whose every field differs from its default (and from
+    // every other field) must survive too, so no field can be dropped
+    // or swapped by either direction of the codec unnoticed.
+    arch::ExperimentResult odd;
+    uint64_t n = 0;
+    cost::visitFields(odd.cost, [&](const char *key, auto &f) {
+        using T = std::decay_t<decltype(f)>;
+        ++n;
+        if constexpr (std::is_same_v<T, bool>)
+            f = true;
+        else if constexpr (std::is_same_v<T, std::string>)
+            f = key;
+        else if constexpr (std::is_same_v<T, double>)
+            f = double(n) + 0.25;
+        else
+            f = T((uint64_t(1) << 31) + n);
+    });
+    arch::ExperimentResult back =
+        store::resultFromJson(store::resultToJson(odd));
+    EXPECT_EQ(fieldTexts(back.cost), fieldTexts(odd.cost));
+    EXPECT_NE(fieldTexts(back.cost), fieldTexts(cost::CostSummary{}));
+}
+
+TEST(CostCodec, ExportedCostKeysKeepTheirOrder)
+{
+    // The CI golden diff pops "cost", so this is what pins its shape.
+    json::Value doc = analysis::toJson(arch::ExperimentResult{});
+    std::vector<std::string> keys;
+    for (const auto &member : doc.at("cost").members())
+        keys.push_back(member.first);
+    const std::vector<std::string> expected = {
+        "analyzed",          "mimd",
+        "unroll",            "perActivationRemap",
+        "segments",          "mapTicksMin",
+        "boundTicksPerActivation", "setupTicks",
+        "minCycleInsts",     "minCycleLoadUnits",
+        "minCycleStoreUnits", "tiles",
+        "gridCols",          "criticalPathTicks",
+        "maxPressureTicks",  "bottleneck",
+        "hopMass",           "hopLowerBound",
+        "smcReadUnits",      "smcWriteUnits",
+        "rsOccupancy",       "predictedTicksPerRecord"};
+    EXPECT_EQ(keys, expected);
 }
 
 // --- The grid-level cross-validation contracts ----------------------------

@@ -135,6 +135,46 @@ TEST(JobPool, ParseWorkersRejectsMalformedAndCapsLarge)
     EXPECT_THROW(JobPool::parseJobsFlag("-3"), FatalError);
 }
 
+TEST(Flags, CheckedIntegerParserRejectsMalformedAndNamesTheFlag)
+{
+    EXPECT_EQ(parseUintFlag("--seed", "0"), 0u);
+    EXPECT_EQ(parseUintFlag("--seed", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseUintFlag("--records", "4294967295", UINT32_MAX),
+              UINT32_MAX);
+    for (const char *bad : {"", "x", "8x", " 8", "+8", "-1", "1.5",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseUintFlag("--scale-div", bad), FatalError) << bad;
+    EXPECT_THROW(parseUintFlag("--records", "4294967296", UINT32_MAX),
+                 FatalError);
+    try {
+        parseUintFlag("--scale-div", "x");
+        FAIL() << "no error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("--scale-div"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    EXPECT_EQ(parseUintListFlag("--seeds", "3,7..9,,1"),
+              (std::vector<uint64_t>{3, 7, 8, 9, 1}));
+    EXPECT_EQ(parseUintListFlag("--seeds",
+                                "18446744073709551614..18446744073709551615"),
+              (std::vector<uint64_t>{UINT64_MAX - 1, UINT64_MAX}));
+    for (const char *bad : {"", ",", "1,x", "9..7", "1..-2", "0..5000"})
+        EXPECT_THROW(parseUintListFlag("--seeds", bad), FatalError) << bad;
+
+    EXPECT_EQ(parseRealFlag("--rps", "2500.5"), 2500.5);
+    for (const char *bad : {"", "x", "1e", "-1", "inf", "nan", "2 "})
+        EXPECT_THROW(parseRealFlag("--rps", bad), FatalError) << bad;
+    EXPECT_EQ(parseRealFlag("--min-spearman", "-1", -1.0, 1.0), -1.0);
+    EXPECT_EQ(parseRealFlag("--min-spearman", "-0.25", -1.0, 1.0), -0.25);
+    EXPECT_EQ(parseRealFlag("--min-spearman", "1", -1.0, 1.0), 1.0);
+    for (const char *bad : {"-1.5", "1.01", "x", ""})
+        EXPECT_THROW(parseRealFlag("--min-spearman", bad, -1.0, 1.0),
+                     FatalError)
+            << bad;
+}
+
 // ---------------------------------------------------------------------
 // Sweep planning and the result cache
 // ---------------------------------------------------------------------

@@ -16,9 +16,7 @@
 #include "core/mimd_engine.hh"
 #include "epoch/epoch.hh"
 #include "kernels/catalog.hh"
-#include "sched/linearize.hh"
 #include "sched/plan.hh"
-#include "sched/simd_lowering.hh"
 
 using namespace dlp;
 using namespace dlp::core;
@@ -358,18 +356,16 @@ calendarAfter(const std::string &kernel, const std::string &config,
     epoch::setFastForwardEnabled(false);
     auto k = kernels::kernelByName(kernel);
     auto m = arch::configByName(config);
-    uint64_t chunkRecords = 0;
-    auto layout = arch::makeStreamLayout(k, m, chunkRecords);
-    EXPECT_LE(records, chunkRecords);
+    arch::LoweredKernel low = arch::lowerFor(k, m);
+    EXPECT_LE(records, low.layout.chunkRecords);
     mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
-    if (m.mech.localPC) {
-        auto plan = sched::lowerMimd(k, m, layout);
+    if (const auto *mimd = std::get_if<sched::MimdPlan>(&low.plan)) {
         MimdEngine engine(m, memory);
         engine.setTables(&k.tables);
-        engine.run(plan, records);
+        engine.run(*mimd, records);
         return largestCalendar(memory, engine.network());
     }
-    auto plan = sched::lowerSimd(k, m, layout);
+    const auto &plan = std::get<sched::SimdPlan>(low.plan);
     EXPECT_TRUE(plan.resident());
     BlockEngine engine(m, memory);
     engine.setTables(&k.tables);

@@ -115,6 +115,29 @@ TEST(StoreCodec, RoundTripIsExportIdentical)
               json::write(analysis::toJson(decoded)));
 }
 
+TEST(StoreCodec, RoundTripWithFindingsIsExportIdentical)
+{
+    // Audit and check findings ride through the codec as well. Clean
+    // catalog runs carry none, so attach some by hand.
+    arch::ExperimentResult original = driver::runTask(quickTask());
+    original.audited = true;
+    original.auditViolations = {
+        {"event-ledger", "scheduled 10 events, executed 9"},
+        {"smc-burst-book", "reads 4 != bursts 3 x 2"}};
+    original.checked = true;
+    original.checkErrors = 1;
+    original.checkWarnings = 1;
+    original.checkFindings = {
+        {"MEM-ORDER", "error", "b0:i3.s1", "load may pass the store"},
+        {"CFG-TBL-BUDGET", "warning", "b1:i0.s0", "table over budget"}};
+    arch::ExperimentResult decoded = store::resultFromJson(
+        json::parse(json::write(store::resultToJson(original), 0)));
+    std::string text = json::write(analysis::toJson(original));
+    EXPECT_NE(text.find("scheduled 10 events"), std::string::npos);
+    EXPECT_NE(text.find("load may pass the store"), std::string::npos);
+    EXPECT_EQ(text, json::write(analysis::toJson(decoded)));
+}
+
 TEST(StoreCodec, CountersAboveDoublePrecisionStayExact)
 {
     // A very long simulation's uint64 counters exceed 2^53; the codec
