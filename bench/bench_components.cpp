@@ -2,14 +2,18 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's substrates: mesh
  * routing, calendar resources, cache tag probes, the IR interpreter, the
- * scheduler lowerings and end-to-end simulation throughput. These track
+ * scheduler lowerings, the JSON export of a service run and end-to-end
+ * simulation throughput. These track
  * simulator (host) performance, not simulated-machine performance.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/export.hh"
 #include "arch/configs.hh"
+#include "arch/multicore.hh"
 #include "arch/processor.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "kernels/catalog.hh"
@@ -218,5 +222,42 @@ BM_EndToEndConvert(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EndToEndConvert);
+
+/**
+ * The serve export at one capacity point's size: analysis::toJson of a
+ * 50k-request ServiceResult, json::write of the document, and freeing
+ * both. The request records are random but shaped like served ones,
+ * integral ticks included.
+ */
+static void
+BM_JsonServiceExport(benchmark::State &state)
+{
+    arch::ServiceResult result;
+    result.config = "S-O-D";
+    result.cores = 4;
+    Rng rng(6);
+    double tick = 0.0;
+    for (uint64_t i = 0; i < 50000; ++i) {
+        arch::RequestRecord r;
+        r.index = i;
+        r.mixIndex = uint32_t(rng.below(3));
+        r.seedSlot = uint32_t(rng.below(2));
+        r.core = unsigned(rng.below(result.cores));
+        tick += double(rng.below(400));
+        r.arrival = tick;
+        r.start = tick + double(rng.below(2000));
+        r.finish = r.start + double(rng.below(50000));
+        result.requests.push_back(r);
+    }
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = json::write(analysis::toJson(result));
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+        bytes += text.size();
+    }
+    state.SetBytesProcessed(int64_t(bytes));
+}
+BENCHMARK(BM_JsonServiceExport)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -260,8 +260,10 @@ toJson(const arch::ServiceResult &result)
     obj.set("profiles", std::move(profiles));
 
     json::Value requests = json::Value::array();
+    requests.reserve(result.requests.size());
     for (const auto &r : result.requests) {
         json::Value req = json::Value::object();
+        req.reserve(7);
         req.set("index", r.index);
         req.set("mixIndex", r.mixIndex);
         req.set("seedSlot", r.seedSlot);

@@ -1,9 +1,10 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
 
 namespace dlp::json {
 
@@ -67,30 +68,30 @@ Value::asInt64() const
 const Value &
 Value::at(size_t i) const
 {
-    check(Kind::Array);
-    panic_if(i >= arr_.size(), "json: index %zu out of range (size %zu)",
-             i, arr_.size());
-    return arr_[i];
+    const Array &arr = items();
+    panic_if(i >= arr.size(), "json: index %zu out of range (size %zu)",
+             i, arr.size());
+    return arr[i];
 }
 
 void
 Value::set(const std::string &key, Value v)
 {
     check(Kind::Object);
-    for (auto &m : obj_) {
+    Members &obj = std::get<Members>(data_);
+    for (auto &m : obj) {
         if (m.first == key) {
             m.second = std::move(v);
             return;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    obj.emplace_back(key, std::move(v));
 }
 
 const Value *
 Value::find(const std::string &key) const
 {
-    check(Kind::Object);
-    for (const auto &m : obj_)
+    for (const auto &m : members())
         if (m.first == key)
             return &m.second;
     return nullptr;
@@ -108,132 +109,241 @@ size_t
 Value::size() const
 {
     switch (kind_) {
-      case Kind::Array: return arr_.size();
-      case Kind::Object: return obj_.size();
+      case Kind::Array: return std::get<Array>(data_).size();
+      case Kind::Object: return std::get<Members>(data_).size();
       default: panic("json: value has no size");
+    }
+}
+
+void
+Value::reserve(size_t n)
+{
+    switch (kind_) {
+      case Kind::Array: std::get<Array>(data_).reserve(n); break;
+      case Kind::Object: std::get<Members>(data_).reserve(n); break;
+      default: panic("json: only arrays and objects reserve room");
     }
 }
 
 namespace {
 
-void
-writeEscaped(std::string &out, const std::string &s)
+/**
+ * Serializes a document into one growable buffer. Every item, member
+ * and scalar makes one capacity check for the most bytes it can take
+ * (a string as if each byte needed a \u escape), then writes through a
+ * raw pointer.
+ */
+class Writer
 {
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
+  public:
+    explicit Writer(unsigned indent) : indent_(indent) {}
+
+    std::string
+    document(const Value &v)
+    {
+        reserve(maxScalar);
+        value(v, 0);
+        if (indent_) {
+            reserve(1);
+            put('\n');
+        }
+        buf_.resize(size_t(p_ - buf_.data()));
+        return std::move(buf_);
+    }
+
+  private:
+    /// Longest scalar; "-2.2250738585072014e-308" is 24 bytes.
+    static constexpr size_t maxScalar = 32;
+    /// Longest escape of one string byte: \u00XX.
+    static constexpr size_t maxEscape = 6;
+
+    void
+    reserve(size_t n)
+    {
+        if (size_t(end_ - p_) < n)
+            grow(n);
+    }
+
+    void
+    grow(size_t n)
+    {
+        size_t used = size_t(p_ - buf_.data());
+        buf_.resize(std::max(2 * buf_.size(), used + n));
+        p_ = buf_.data() + used;
+        end_ = buf_.data() + buf_.size();
+    }
+
+    void put(char c) { *p_++ = c; }
+
+    void
+    put(const char *s, size_t n)
+    {
+        std::memcpy(p_, s, n);
+        p_ += n;
+    }
+
+    /** Room a newline() to `level` takes. */
+    size_t
+    lineRoom(unsigned level) const
+    {
+        return indent_ ? 1 + size_t(indent_) * level : 0;
+    }
+
+    void
+    newline(unsigned level)
+    {
+        if (!indent_)
+            return;
+        *p_++ = '\n';
+        size_t n = size_t(indent_) * level;
+        std::memset(p_, ' ', n);
+        p_ += n;
+    }
+
+    static bool
+    needsEscape(char c)
+    {
+        return static_cast<unsigned char>(c) < 0x20 || c == '"' ||
+               c == '\\';
+    }
+
+    /** Takes at most 2 + maxEscape * s.size() bytes. */
+    void
+    escaped(const std::string &s)
+    {
+        static constexpr char hex[] = "0123456789abcdef";
+        put('"');
+        const char *c = s.data();
+        const char *end = c + s.size();
+        while (c != end) {
+            while (c != end && !needsEscape(*c))
+                *p_++ = *c++;
+            if (c == end)
+                break;
+            switch (*c) {
+              case '"': put("\\\"", 2); break;
+              case '\\': put("\\\\", 2); break;
+              case '\n': put("\\n", 2); break;
+              case '\r': put("\\r", 2); break;
+              case '\t': put("\\t", 2); break;
+              default:
+                put("\\u00", 4);
+                put(hex[static_cast<unsigned char>(*c) >> 4]);
+                put(hex[*c & 0xf]);
             }
+            ++c;
         }
+        put('"');
     }
-    out += '"';
-}
 
-void
-writeNumber(std::string &out, const Value &v)
-{
-    char buf[64];
-    // Exact 64-bit integers print all their digits, no double detour.
-    if (v.numRep() == Value::NumRep::UInt64) {
-        auto res = std::to_chars(buf, buf + sizeof(buf), v.asUInt64());
-        out.append(buf, res.ptr);
-        return;
-    }
-    if (v.numRep() == Value::NumRep::Int64) {
-        auto res = std::to_chars(buf, buf + sizeof(buf), v.asInt64());
-        out.append(buf, res.ptr);
-        return;
-    }
-    double d = v.asNumber();
-    // JSON has no NaN/Inf; null is the conventional stand-in.
-    if (!std::isfinite(d)) {
-        out += "null";
-        return;
-    }
-    // Exact integral values print without a decimal point so counters
-    // read as the integers they are (2^53 bounds exact representation).
-    double rounded = std::nearbyint(d);
-    if (rounded == d && std::fabs(d) < 9.0e15) {
-        auto res = std::to_chars(buf, buf + sizeof(buf), int64_t(rounded));
-        out.append(buf, res.ptr);
-        return;
-    }
-    auto res = std::to_chars(buf, buf + sizeof(buf), d);
-    out.append(buf, res.ptr);
-}
-
-void
-writeValue(std::string &out, const Value &v, unsigned indent, unsigned depth)
-{
-    auto newline = [&](unsigned level) {
-        if (indent) {
-            out += '\n';
-            out.append(size_t(indent) * level, ' ');
-        }
-    };
-
-    switch (v.kind()) {
-      case Value::Kind::Null:
-        out += "null";
-        break;
-      case Value::Kind::Bool:
-        out += v.asBool() ? "true" : "false";
-        break;
-      case Value::Kind::Number:
-        writeNumber(out, v);
-        break;
-      case Value::Kind::String:
-        writeEscaped(out, v.asString());
-        break;
-      case Value::Kind::Array: {
-        const auto &items = v.items();
-        if (items.empty()) {
-            out += "[]";
+    /** Takes at most maxScalar bytes. */
+    void
+    number(const Value &v)
+    {
+        // Exact 64-bit integers print all their digits, no double detour.
+        switch (v.numRep()) {
+          case Value::NumRep::UInt64:
+            p_ = std::to_chars(p_, end_, v.asUInt64()).ptr;
+            return;
+          case Value::NumRep::Int64:
+            p_ = std::to_chars(p_, end_, v.asInt64()).ptr;
+            return;
+          case Value::NumRep::Double:
             break;
         }
-        out += '[';
-        for (size_t i = 0; i < items.size(); ++i) {
-            if (i)
-                out += ',';
-            newline(depth + 1);
-            writeValue(out, items[i], indent, depth + 1);
+        double d = v.asNumber();
+        // JSON has no NaN/Inf; null is the conventional stand-in.
+        if (!std::isfinite(d)) {
+            put("null", 4);
+            return;
         }
-        newline(depth);
-        out += ']';
-        break;
-      }
-      case Value::Kind::Object: {
-        const auto &members = v.members();
-        if (members.empty()) {
-            out += "{}";
-            break;
+        // Exact integral values print without a decimal point so counters
+        // read as the integers they are (2^53 bounds exact representation).
+        // Below that bound the int64 conversion is defined, and it
+        // round-trips exactly when d is integral (-0.0 prints as 0).
+        if (std::fabs(d) < 9.0e15 && double(int64_t(d)) == d) {
+            p_ = std::to_chars(p_, end_, int64_t(d)).ptr;
+            return;
         }
-        out += '{';
-        for (size_t i = 0; i < members.size(); ++i) {
-            if (i)
-                out += ',';
-            newline(depth + 1);
-            writeEscaped(out, members[i].first);
-            out += indent ? ": " : ":";
-            writeValue(out, members[i].second, indent, depth + 1);
-        }
-        newline(depth);
-        out += '}';
-        break;
-      }
+        p_ = std::to_chars(p_, end_, d).ptr;
     }
-}
+
+    /** Writes v; the caller has made room for a scalar. */
+    void
+    value(const Value &v, unsigned depth)
+    {
+        switch (v.kind()) {
+          case Value::Kind::Null:
+            put("null", 4);
+            break;
+          case Value::Kind::Bool:
+            if (v.asBool())
+                put("true", 4);
+            else
+                put("false", 5);
+            break;
+          case Value::Kind::Number:
+            number(v);
+            break;
+          case Value::Kind::String: {
+            const std::string &s = v.asString();
+            reserve(2 + maxEscape * s.size());
+            escaped(s);
+            break;
+          }
+          case Value::Kind::Array: {
+            const auto &items = v.items();
+            if (items.empty()) {
+                put("[]", 2);
+                break;
+            }
+            put('[');
+            for (size_t i = 0; i < items.size(); ++i) {
+                reserve(1 + lineRoom(depth + 1) + maxScalar);
+                if (i)
+                    put(',');
+                newline(depth + 1);
+                value(items[i], depth + 1);
+            }
+            reserve(lineRoom(depth) + 1);
+            newline(depth);
+            put(']');
+            break;
+          }
+          case Value::Kind::Object: {
+            const auto &members = v.members();
+            if (members.empty()) {
+                put("{}", 2);
+                break;
+            }
+            put('{');
+            for (size_t i = 0; i < members.size(); ++i) {
+                const auto &[key, child] = members[i];
+                reserve(1 + lineRoom(depth + 1) + 2 +
+                        maxEscape * key.size() + 2 + maxScalar);
+                if (i)
+                    put(',');
+                newline(depth + 1);
+                escaped(key);
+                if (indent_)
+                    put(": ", 2);
+                else
+                    put(':');
+                value(child, depth + 1);
+            }
+            reserve(lineRoom(depth) + 1);
+            newline(depth);
+            put('}');
+            break;
+          }
+        }
+    }
+
+    unsigned indent_;  ///< spaces per nesting level; 0 = one line
+    std::string buf_;  ///< written bytes, then unused capacity
+    char *p_ = buf_.data();   ///< next byte to write
+    char *end_ = buf_.data(); ///< end of the capacity
+};
 
 /** Recursive-descent parser over a complete in-memory document. */
 class Parser
@@ -252,10 +362,12 @@ class Parser
 
   private:
     [[noreturn]] void
-    fail(const char *what)
+    failAt(size_t offset, const char *what)
     {
-        fatal("json: parse error at offset %zu: %s", pos, what);
+        fatal("json: parse error at offset %zu: %s", offset, what);
     }
+
+    [[noreturn]] void fail(const char *what) { failAt(pos, what); }
 
     void
     fail_if(bool cond, const char *what)
@@ -371,6 +483,47 @@ class Parser
         }
     }
 
+    /** The four hex digits of a \u escape, as a UTF-16 code unit. */
+    unsigned
+    hex4()
+    {
+        fail_if(pos + 4 > s.size(), "truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = s[pos++];
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+                code |= unsigned(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                code |= unsigned(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                code |= unsigned(h - 'A' + 10);
+            else
+                fail("invalid \\u escape");
+        }
+        return code;
+    }
+
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += char(code);
+        } else if (code < 0x800) {
+            out += char(0xc0 | (code >> 6));
+            out += char(0x80 | (code & 0x3f));
+        } else if (code < 0x10000) {
+            out += char(0xe0 | (code >> 12));
+            out += char(0x80 | ((code >> 6) & 0x3f));
+            out += char(0x80 | (code & 0x3f));
+        } else {
+            out += char(0xf0 | (code >> 18));
+            out += char(0x80 | ((code >> 12) & 0x3f));
+            out += char(0x80 | ((code >> 6) & 0x3f));
+            out += char(0x80 | (code & 0x3f));
+        }
+    }
+
     std::string
     string()
     {
@@ -397,32 +550,23 @@ class Parser
               case 'r': out += '\r'; break;
               case 't': out += '\t'; break;
               case 'u': {
-                fail_if(pos + 4 > s.size(), "truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = s[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= unsigned(h - 'A' + 10);
-                    else
-                        fail("invalid \\u escape");
+                size_t at = pos - 2;  // the backslash
+                unsigned code = hex4();
+                if (code >= 0xdc00 && code <= 0xdfff)
+                    failAt(at, "lone low surrogate");
+                if (code >= 0xd800 && code <= 0xdbff) {
+                    // A high half must be followed by an escaped low
+                    // half; the pair encodes one code point past U+FFFF.
+                    if (pos + 2 > s.size() || s[pos] != '\\' ||
+                        s[pos + 1] != 'u')
+                        failAt(at, "lone high surrogate");
+                    pos += 2;
+                    unsigned low = hex4();
+                    if (low < 0xdc00 || low > 0xdfff)
+                        failAt(at, "lone high surrogate");
+                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
                 }
-                // UTF-8 encode the BMP code point (surrogate pairs are
-                // not needed for the simulator's own output).
-                if (code < 0x80) {
-                    out += char(code);
-                } else if (code < 0x800) {
-                    out += char(0xc0 | (code >> 6));
-                    out += char(0x80 | (code & 0x3f));
-                } else {
-                    out += char(0xe0 | (code >> 12));
-                    out += char(0x80 | ((code >> 6) & 0x3f));
-                    out += char(0x80 | (code & 0x3f));
-                }
+                appendUtf8(out, code);
                 break;
               }
               default: fail("invalid escape character");
@@ -479,11 +623,7 @@ class Parser
 std::string
 write(const Value &v, unsigned indent)
 {
-    std::string out;
-    writeValue(out, v, indent, 0);
-    if (indent)
-        out += '\n';
-    return out;
+    return Writer(indent).document(v);
 }
 
 Value

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "analysis/experiments.hh"
@@ -380,6 +382,165 @@ TEST(Json, StableKeyOrder)
     doc.set("zebra", 3); // overwrite keeps first-set position
     std::string text = json::write(doc, 0);
     EXPECT_EQ(text, "{\"zebra\":3,\"alpha\":2}");
+}
+
+// A tripwire for the DOM's layout: every exported request, bucket and
+// counter is one Value, so its size sets the export's memory traffic.
+static_assert(sizeof(json::Value) <= 56, "json::Value grew past 56 bytes");
+
+TEST(Json, WriterByteExact)
+{
+    // Expected bytes were captured from the writer before its rewrite
+    // into a raw buffer; any drift here changes every exported file.
+    const double inf = std::numeric_limits<double>::infinity();
+    json::Value scalars = json::Value::object();
+    scalars.set(std::string("esc\"\\\x01\xc3\xa9", 8), "key");
+    scalars.set("ctl", std::string("\"\\/\b\f\n\r\t\x01\x1f\x7f\0", 12));
+    scalars.set("utf8", "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\x80\xff");
+    scalars.set("u64max", std::numeric_limits<uint64_t>::max());
+    scalars.set("u64zero", uint64_t(0));
+    scalars.set("i64min", std::numeric_limits<int64_t>::min());
+    scalars.set("i64max", std::numeric_limits<int64_t>::max());
+    scalars.set("negOne", -1);
+    scalars.set("negZero", -0.0);
+    scalars.set("tenth", 0.1);
+    scalars.set("third", 1.0 / 3.0);
+    scalars.set("big", 1e300);
+    scalars.set("denormal", 5e-324);
+    scalars.set("nan", std::nan(""));
+    scalars.set("inf", inf);
+    scalars.set("negInf", -inf);
+    scalars.set("three", 3.0);
+    scalars.set("negHalf", -2.5);
+    scalars.set("below2p53", 9007199254740991.0);
+    scalars.set("at2p53", 9007199254740992.0);
+    scalars.set("above2p53", 9007199254740994.0);
+    scalars.set("below9e15", 8999999999999999.0);
+    scalars.set("at9e15", 9e15);
+    scalars.set("above9e15", 9000000000000001.0);
+    scalars.set("negBelow9e15", -8999999999999999.0);
+    scalars.set("negAt9e15", -9e15);
+    scalars.set("t", true);
+    scalars.set("f", false);
+    scalars.set("n", nullptr);
+    EXPECT_EQ(json::write(scalars, 0),
+              "{\"esc\\\"\\\\\\u0001\xc3\xa9\":\"key\","
+              "\"ctl\":\"\\\"\\\\/\\u0008\\u000c\\n\\r\\t\\u0001\\u001f"
+              "\x7f\\u0000\","
+              "\"utf8\":\"\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\x80\xff\","
+              "\"u64max\":18446744073709551615,\"u64zero\":0,"
+              "\"i64min\":-9223372036854775808,"
+              "\"i64max\":9223372036854775807,\"negOne\":-1,"
+              "\"negZero\":0,\"tenth\":0.1,\"third\":0.3333333333333333,"
+              "\"big\":1e+300,\"denormal\":5e-324,"
+              "\"nan\":null,\"inf\":null,\"negInf\":null,"
+              "\"three\":3,\"negHalf\":-2.5,"
+              "\"below2p53\":9007199254740991,\"at2p53\":9007199254740992,"
+              "\"above2p53\":9007199254740994,"
+              "\"below9e15\":8999999999999999,\"at9e15\":9e+15,"
+              "\"above9e15\":9000000000000001,"
+              "\"negBelow9e15\":-8999999999999999,\"negAt9e15\":-9e+15,"
+              "\"t\":true,\"f\":false,\"n\":null}");
+
+    json::Value nested = json::Value::object();
+    nested.set("emptyArray", json::Value::array());
+    nested.set("emptyObject", json::Value::object());
+    json::Value items = json::Value::array();
+    items.push(1);
+    json::Value deeper = json::Value::array();
+    deeper.push(json::Value::array());
+    deeper.push(json::Value::object());
+    deeper.push("s");
+    items.push(std::move(deeper));
+    json::Value point = json::Value::object();
+    point.set("x", 0.5);
+    point.set("y", nullptr);
+    items.push(std::move(point));
+    nested.set("items", std::move(items));
+    EXPECT_EQ(json::write(nested, 0),
+              "{\"emptyArray\":[],\"emptyObject\":{},"
+              "\"items\":[1,[[],{},\"s\"],{\"x\":0.5,\"y\":null}]}");
+    EXPECT_EQ(json::write(nested, 2),
+              "{\n"
+              "  \"emptyArray\": [],\n"
+              "  \"emptyObject\": {},\n"
+              "  \"items\": [\n"
+              "    1,\n"
+              "    [\n"
+              "      [],\n"
+              "      {},\n"
+              "      \"s\"\n"
+              "    ],\n"
+              "    {\n"
+              "      \"x\": 0.5,\n"
+              "      \"y\": null\n"
+              "    }\n"
+              "  ]\n"
+              "}\n");
+    EXPECT_EQ(json::write(nested, 4),
+              "{\n"
+              "    \"emptyArray\": [],\n"
+              "    \"emptyObject\": {},\n"
+              "    \"items\": [\n"
+              "        1,\n"
+              "        [\n"
+              "            [],\n"
+              "            {},\n"
+              "            \"s\"\n"
+              "        ],\n"
+              "        {\n"
+              "            \"x\": 0.5,\n"
+              "            \"y\": null\n"
+              "        }\n"
+              "    ]\n"
+              "}\n");
+
+    // Top-level scalars and empty containers.
+    EXPECT_EQ(json::write(json::Value(1.5), 2), "1.5\n");
+    EXPECT_EQ(json::write(json::Value::array(), 0), "[]");
+    EXPECT_EQ(json::write(json::Value::object(), 4), "{}\n");
+}
+
+TEST(Json, SurrogatePairDecodesToOneCodePoint)
+{
+    // U+1F600 arrives as a UTF-16 surrogate pair and must come out as
+    // one 4-byte UTF-8 sequence, not two 3-byte halves.
+    EXPECT_EQ(json::parse("\"\\ud83d\\ude00\"").asString(),
+              "\xf0\x9f\x98\x80");
+    EXPECT_EQ(json::parse("\"a\\uD800\\uDC00b\"").asString(),
+              "a\xf0\x90\x80\x80" "b");
+    EXPECT_EQ(json::parse("\"\\udbff\\udfff\"").asString(),
+              "\xf4\x8f\xbf\xbf");
+    // BMP escapes around the surrogate range are unchanged.
+    EXPECT_EQ(json::parse("\"\\u00e9\\ud7ff\\ue000\"").asString(),
+              "\xc3\xa9\xed\x9f\xbf\xee\x80\x80");
+}
+
+TEST(Json, LoneSurrogateIsAParseError)
+{
+    auto message = [](const std::string &text) -> std::string {
+        try {
+            json::parse(text);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "parsed";
+    };
+    // A high half with no low half after it, in every way that can
+    // happen, and a low half on its own; the error names the offset of
+    // the offending escape.
+    EXPECT_NE(message("\"x\\ud83d\"").find("offset 2: lone high surrogate"),
+              std::string::npos) << message("\"x\\ud83d\"");
+    EXPECT_NE(message("\"\\ud83dx\"").find("offset 1: lone high surrogate"),
+              std::string::npos);
+    EXPECT_NE(message("\"\\ud83d\\u0041\"")
+                  .find("offset 1: lone high surrogate"),
+              std::string::npos);
+    EXPECT_NE(message("\"\\ud83d\\ud83d\"")
+                  .find("offset 1: lone high surrogate"),
+              std::string::npos);
+    EXPECT_NE(message("\"ab\\ude00\"").find("offset 3: lone low surrogate"),
+              std::string::npos) << message("\"ab\\ude00\"");
 }
 
 TEST(Json, ParseErrors)
