@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's substrates: mesh
  * routing, calendar resources, cache tag probes, the IR interpreter, the
- * scheduler lowerings, the JSON export of a service run and end-to-end
- * simulation throughput. These track
+ * scheduler lowerings, the JSON export of a service run, Blowfish's pi
+ * table and end-to-end simulation throughput. These track
  * simulator (host) performance, not simulated-machine performance.
  */
 
@@ -21,6 +21,7 @@
 #include "kernels/workload.hh"
 #include "mem/cache_model.hh"
 #include "noc/mesh.hh"
+#include "ref/pi_digits.hh"
 #include "sched/linearize.hh"
 #include "sched/simd_lowering.hh"
 #include "sim/eventq.hh"
@@ -259,5 +260,16 @@ BM_JsonServiceExport(benchmark::State &state)
     state.SetBytesProcessed(int64_t(bytes));
 }
 BENCHMARK(BM_JsonServiceExport)->Unit(benchmark::kMillisecond);
+
+/** Blowfish's 1,042 pi words (18 P + 4 x 256 S-box), which the first
+ *  Blowfish key schedule in a process builds. */
+static void
+BM_PiFractionWords(benchmark::State &state)
+{
+    const size_t count = size_t(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ref::piFractionWords(count));
+}
+BENCHMARK(BM_PiFractionWords)->Arg(18 + 4 * 256)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

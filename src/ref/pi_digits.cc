@@ -6,79 +6,73 @@ namespace dlp::ref {
 
 namespace {
 
-/** 16^e mod m (m fits in 32 bits, so 64-bit products cannot overflow). */
-uint64_t
-powmod16(uint64_t e, uint64_t m)
+/** Guard limbs below the returned words; see the error bound in the
+ *  header. */
+constexpr size_t kGuardLimbs = 4;
+
+/** A fixed-point number in 32-bit limbs, most-significant first: limb 0
+ *  is the integer part, the rest are the fraction. */
+using Fixed = std::vector<uint32_t>;
+
+/** out = x / d, truncated, where x's limbs before `lead` are zero; only
+ *  out's limbs from `lead` on are written. */
+void
+divideInto(const Fixed &x, size_t lead, uint32_t d, Fixed &out)
 {
-    if (m == 1)
-        return 0;
-    uint64_t result = 1 % m;
-    uint64_t base = 16 % m;
-    while (e) {
-        if (e & 1)
-            result = (result * base) % m;
-        base = (base * base) % m;
-        e >>= 1;
+    uint64_t rem = 0;
+    for (size_t i = lead; i < x.size(); ++i) {
+        uint64_t cur = (rem << 32) | x[i];
+        out[i] = static_cast<uint32_t>(cur / d);
+        rem = cur % d;
     }
-    return result;
 }
 
-/**
- * Fractional part of sum_k 16^(n-k) / (8k + j), in 2^-64 fixed point.
- *
- * Head terms (k <= n) are computed exactly with 128-bit division of the
- * modular numerator; tail terms (k > n) decay by 16x each and only the
- * first few matter.
- */
-uint64_t
-seriesFrac(uint64_t n, uint64_t j)
+/** acc += term (or -= term), where term's limbs before `lead` are
+ *  zero. Wraps modulo 2^(32 * size) like unsigned arithmetic. */
+void
+accumulate(Fixed &acc, const Fixed &term, size_t lead, bool subtract)
 {
-    uint64_t acc = 0; // wraps mod 2^64, which is exactly "mod 1"
-
-    for (uint64_t k = 0; k <= n; ++k) {
-        uint64_t m = 8 * k + j;
-        uint64_t num = powmod16(n - k, m);
-        // (num / m) in 2^-64 fixed point, truncated.
-        acc += static_cast<uint64_t>(
-            (static_cast<unsigned __int128>(num) << 64) / m);
+    uint64_t carry = 0;
+    for (size_t i = acc.size(); i-- > 0 && (i >= lead || carry);) {
+        uint64_t t = i >= lead ? term[i] : 0;
+        uint64_t cur = subtract ? uint64_t(acc[i]) - t - carry
+                                : uint64_t(acc[i]) + t + carry;
+        acc[i] = static_cast<uint32_t>(cur);
+        carry = subtract ? (cur >> 63) : (cur >> 32);
     }
+}
 
-    // Tail: 16^(n-k) = 16^-(k-n) for k > n.
-    long double tail = 0.0L;
-    for (uint64_t k = n + 1; k <= n + 18; ++k) {
-        long double term = 1.0L;
-        for (uint64_t p = 0; p < k - n; ++p)
-            term /= 16.0L;
-        tail += term / static_cast<long double>(8 * k + j);
+/** acc += coeff * atan(1/x) (or -=), by the Gregory series
+ *  sum_k (-1)^k / ((2k+1) x^(2k+1)). */
+void
+addArctanInverse(Fixed &acc, uint32_t coeff, uint32_t x, bool subtract)
+{
+    Fixed power(acc.size(), 0), term(acc.size());
+    power[0] = coeff;
+    divideInto(power, 0, x, power); // coeff / x
+    const uint32_t x2 = x * x;
+    size_t lead = 0;
+    for (uint32_t k = 0; lead < power.size(); ++k) {
+        divideInto(power, lead, 2 * k + 1, term);
+        accumulate(acc, term, lead, subtract != (k % 2 == 1));
+        divideInto(power, lead, x2, power); // coeff / x^(2k+3)
+        while (lead < power.size() && power[lead] == 0)
+            ++lead;
     }
-    acc += static_cast<uint64_t>(tail * 18446744073709551616.0L);
-    return acc;
 }
 
 } // namespace
 
-uint32_t
-piHexWordAt(uint64_t n)
-{
-    // frac(16^n * pi) = frac(4 S1 - 2 S4 - S5 - S6); all arithmetic is
-    // naturally mod 1 in 2^-64 fixed point.
-    uint64_t s1 = seriesFrac(n, 1);
-    uint64_t s4 = seriesFrac(n, 4);
-    uint64_t s5 = seriesFrac(n, 5);
-    uint64_t s6 = seriesFrac(n, 6);
-    uint64_t frac = 4 * s1 - 2 * s4 - s5 - s6;
-    return static_cast<uint32_t>(frac >> 32);
-}
-
 std::vector<uint32_t>
 piFractionWords(size_t count)
 {
-    std::vector<uint32_t> words(count);
-    for (size_t i = 0; i < count; ++i)
-        words[i] = piHexWordAt(i * 8);
+    Fixed pi(1 + count + kGuardLimbs, 0);
+    addArctanInverse(pi, 16, 5, false);
+    addArctanInverse(pi, 4, 239, true);
 
+    std::vector<uint32_t> words(pi.begin() + 1, pi.begin() + 1 + count);
     panic_if(count > 0 && words[0] != 0x243F6A88u,
-             "BBP self-check failed: first pi word 0x%08x", words[0]);
+             "pi self-check failed: first pi word 0x%08x", words[0]);
     return words;
 }
 

@@ -1,12 +1,21 @@
 /**
  * @file
- * Hexadecimal digits of pi via the Bailey-Borwein-Plouffe formula.
+ * Hexadecimal digits of pi from one fixed-point Machin series.
  *
  * Blowfish initializes its P-array and S-boxes from the fractional hex
  * digits of pi. Rather than embedding kilobytes of literal tables, we
- * compute the digits with the BBP digit-extraction algorithm using exact
- * 128-bit modular arithmetic, and validate the first digits against the
- * well-known value 0x243F6A8885A308D3... (which is also Blowfish's P[0]).
+ * compute them in bulk from Machin's formula,
+ *
+ *     pi = 16 atan(1/5) - 4 atan(1/239),
+ *
+ * summed in a big fixed-point number of 32-bit limbs: limb 0 is the
+ * integer part, then the requested fraction limbs, then 4 guard limbs.
+ * Each series term costs two divide-by-small-integer passes and one add
+ * or subtract, and each of those passes truncates. A term is therefore
+ * off by at most 2 ulps of the last limb; ~9.3 k terms for the 1,042
+ * Blowfish words keep the total below 2^15 ulps, far inside the 128
+ * guard bits. The first word is checked against the well-known value
+ * 0x243F6A88 (which is also Blowfish's P[0]).
  */
 
 #ifndef DLP_REF_PI_DIGITS_HH
@@ -20,13 +29,10 @@ namespace dlp::ref {
 
 /**
  * Return `count` 32-bit words of the fractional hex expansion of pi,
- * most-significant digit first (word 0 is 0x243F6A88).
+ * most-significant digit first (word 0 is 0x243F6A88). A shorter table
+ * is always a prefix of a longer one.
  */
 std::vector<uint32_t> piFractionWords(size_t count);
-
-/** Eight hex digits (one 32-bit word) starting at hex-digit position n
- *  (n = 0 is the first fractional digit, '2'). */
-uint32_t piHexWordAt(uint64_t n);
 
 } // namespace dlp::ref
 

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/random.hh"
 #include "ref/blowfish.hh"
@@ -25,8 +27,83 @@ using namespace dlp;
 using namespace dlp::ref;
 
 // --------------------------------------------------------------------------
-// Pi digits (BBP)
+// Pi digits (Machin series, checked against BBP digit extraction)
 // --------------------------------------------------------------------------
+
+namespace {
+
+/** 16^e mod m (m fits in 32 bits, so 64-bit products cannot overflow). */
+uint64_t
+powmod16(uint64_t e, uint64_t m)
+{
+    if (m == 1)
+        return 0;
+    uint64_t result = 1 % m;
+    uint64_t base = 16 % m;
+    while (e) {
+        if (e & 1)
+            result = (result * base) % m;
+        base = (base * base) % m;
+        e >>= 1;
+    }
+    return result;
+}
+
+/**
+ * Fractional part of sum_k 16^(n-k) / (8k + j), in 2^-64 fixed point.
+ *
+ * Head terms (k <= n) are computed exactly with 128-bit division of the
+ * modular numerator; tail terms (k > n) decay by 16x each and only the
+ * first few matter.
+ */
+uint64_t
+seriesFrac(uint64_t n, uint64_t j)
+{
+    uint64_t acc = 0; // wraps mod 2^64, which is exactly "mod 1"
+
+    for (uint64_t k = 0; k <= n; ++k) {
+        uint64_t m = 8 * k + j;
+        uint64_t num = powmod16(n - k, m);
+        // (num / m) in 2^-64 fixed point, truncated.
+        acc += static_cast<uint64_t>(
+            (static_cast<unsigned __int128>(num) << 64) / m);
+    }
+
+    // Tail: 16^(n-k) = 16^-(k-n) for k > n.
+    long double tail = 0.0L;
+    for (uint64_t k = n + 1; k <= n + 18; ++k) {
+        long double term = 1.0L;
+        for (uint64_t p = 0; p < k - n; ++p)
+            term /= 16.0L;
+        tail += term / static_cast<long double>(8 * k + j);
+    }
+    acc += static_cast<uint64_t>(tail * 18446744073709551616.0L);
+    return acc;
+}
+
+/**
+ * Eight hex digits (one 32-bit word) of pi starting at hex-digit
+ * position n (n = 0 is the first fractional digit, '2'), extracted
+ * independently of every other word with the Bailey-Borwein-Plouffe
+ * formula. An oracle for piFractionWords, too slow to build the table.
+ */
+uint32_t
+piHexWordAt(uint64_t n)
+{
+    // frac(16^n * pi) = frac(4 S1 - 2 S4 - S5 - S6); all arithmetic is
+    // naturally mod 1 in 2^-64 fixed point.
+    uint64_t s1 = seriesFrac(n, 1);
+    uint64_t s4 = seriesFrac(n, 4);
+    uint64_t s5 = seriesFrac(n, 5);
+    uint64_t s6 = seriesFrac(n, 6);
+    uint64_t frac = 4 * s1 - 2 * s4 - s5 - s6;
+    return static_cast<uint32_t>(frac >> 32);
+}
+
+/** Blowfish's whole initial state: 18 P words and four 256-word S-boxes. */
+constexpr size_t kBlowfishPiWords = 18 + 4 * 256;
+
+} // namespace
 
 TEST(PiDigits, FirstWordsMatchKnownExpansion)
 {
@@ -47,6 +124,57 @@ TEST(PiDigits, DeepDigitsSelfConsistent)
     uint32_t w0 = piHexWordAt(1000);
     uint32_t w1 = piHexWordAt(1004);
     EXPECT_EQ(w0 & 0xffffu, w1 >> 16);
+}
+
+TEST(PiDigits, PublishedBlowfishWords)
+{
+    auto words = piFractionWords(kBlowfishPiWords);
+    ASSERT_EQ(words.size(), kBlowfishPiWords);
+
+    const uint32_t pArray[18] = {
+        0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344, 0xA4093822,
+        0x299F31D0, 0x082EFA98, 0xEC4E6C89, 0x452821E6, 0x38D01377,
+        0xBE5466CF, 0x34E90C6C, 0xC0AC29B7, 0xC97C50DD, 0x3F84D5B5,
+        0xB5470917, 0x9216D5D9, 0x8979FB1B,
+    };
+    for (size_t i = 0; i < 18; ++i)
+        EXPECT_EQ(words[i], pArray[i]) << "P[" << i << "]";
+
+    // First and last word of each S-box.
+    const uint32_t sboxEnds[4][2] = {
+        {0xD1310BA6, 0x6E85076A},
+        {0x4B7A70E9, 0xDB83ADF7},
+        {0xE93D5A68, 0x406000E0},
+        {0x3A39CE37, 0x3AC372E6},
+    };
+    for (size_t s = 0; s < 4; ++s) {
+        EXPECT_EQ(words[18 + 256 * s], sboxEnds[s][0]) << "S" << s << "[0]";
+        EXPECT_EQ(words[18 + 256 * s + 255], sboxEnds[s][1])
+            << "S" << s << "[255]";
+    }
+}
+
+TEST(PiDigits, MatchesBbpSpotChecks)
+{
+    auto words = piFractionWords(kBlowfishPiWords);
+    std::vector<size_t> probes;
+    for (size_t i = 0; i < kBlowfishPiWords; i += 61)
+        probes.push_back(i);
+    probes.push_back(kBlowfishPiWords - 1);
+    for (size_t i : probes)
+        EXPECT_EQ(words[i], piHexWordAt(8 * i)) << "word " << i;
+}
+
+TEST(PiDigits, ShorterTablesArePrefixes)
+{
+    auto full = piFractionWords(kBlowfishPiWords);
+    for (size_t count : {size_t(0), size_t(1), size_t(18),
+                         kBlowfishPiWords - 1, kBlowfishPiWords}) {
+        auto words = piFractionWords(count);
+        ASSERT_EQ(words.size(), count);
+        EXPECT_TRUE(std::equal(words.begin(), words.end(), full.begin()))
+            << "count " << count;
+    }
 }
 
 // --------------------------------------------------------------------------
