@@ -146,7 +146,7 @@ BENCHMARK(BM_EventQueueFarFuture);
 static void
 BM_ResourceAcquireMany(benchmark::State &state)
 {
-    // Multi-unit grants (memory banks, DMA bursts) on the flat calendar.
+    // Multi-unit grants (memory banks, DMA bursts) on the bitmap calendar.
     sim::Resource res(2);
     Tick t = 0;
     for (auto _ : state)

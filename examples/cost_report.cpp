@@ -25,7 +25,8 @@
  *                       0 = one per hardware thread)
  *
  * Exit status: 0 on success; 1 when --validate finds a bound violation
- * or a kernel below the rank-correlation floor.
+ * or a kernel below the rank-correlation floor; 2 on a bad command
+ * line.
  */
 
 #include <cinttypes>
@@ -49,8 +50,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::vector<std::string> kernelNames;
@@ -63,7 +66,7 @@ main(int argc, char **argv)
     unsigned jobs = 0;
 
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -89,8 +92,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             jobs = driver::JobPool::parseJobsFlag(value(i));
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "examples/cost_report.cpp)", argv[i]);
+            usage_error("unknown option '%s' (see the header of "
+                        "examples/cost_report.cpp)", argv[i]);
         }
     }
     if (configNames.empty())
@@ -270,4 +273,12 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", jsonPath.c_str());
     }
     return status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

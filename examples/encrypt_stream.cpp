@@ -20,8 +20,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
     const uint64_t packets = 1024; // 16-byte blocks
@@ -49,4 +51,12 @@ main()
                 "block). The paper's Table 6 reports\n12 cycles/block for "
                 "its best TRIPS configuration; CryptoManiac needed 100.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

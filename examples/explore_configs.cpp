@@ -33,8 +33,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::string kernel = "blowfish";
@@ -44,10 +46,10 @@ main(int argc, char **argv)
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {
-            fatal_if(i + 1 >= argc, "--json needs a file argument");
+            usage_error_if(i + 1 >= argc, "--json needs a file argument");
             jsonPath = argv[++i];
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            fatal_if(i + 1 >= argc, "--jobs needs a worker count");
+            usage_error_if(i + 1 >= argc, "--jobs needs a worker count");
             opts.jobs = driver::JobPool::parseJobsFlag(argv[++i]);
         } else {
             positional.push_back(argv[i]);
@@ -96,4 +98,12 @@ main(int argc, char **argv)
         std::printf("  wrote %s\n", jsonPath.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

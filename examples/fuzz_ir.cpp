@@ -37,7 +37,7 @@
  *   --json FILE              write counterexamples as JSON
  *
  * Exit status: 0 when every (seed, config) run matches the oracle and
- * audits clean, 1 otherwise.
+ * audits clean, 1 otherwise, 2 on a bad command line.
  */
 
 #include <climits>
@@ -83,10 +83,8 @@ toJson(const verify::FuzzFailure &f)
     return obj;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::vector<uint64_t> seeds;
@@ -95,7 +93,7 @@ main(int argc, char **argv)
     bool dump = false;
 
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -138,8 +136,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--dump") == 0) {
             dump = true;
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "examples/fuzz_ir.cpp)", argv[i]);
+            usage_error("unknown option '%s' (see the header of "
+                        "examples/fuzz_ir.cpp)", argv[i]);
         }
     }
     if (seeds.empty())
@@ -207,4 +205,12 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", jsonPath.c_str());
     }
     return rep.clean() ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

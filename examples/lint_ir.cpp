@@ -25,7 +25,8 @@
  * Exit status: 0 pass; 1 Error findings; 2 Warning findings when
  * --fail-on=warning or stricter; 3 Advisory findings when
  * --fail-on=advisory. Errors always dominate, then warnings: the
- * default gate is unchanged by the advisory rules.
+ * default gate is unchanged by the advisory rules. A bad command line
+ * also exits 2, with its message on stderr.
  */
 
 #include <cstdio>
@@ -46,8 +47,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::vector<std::string> kernelNames;
@@ -57,7 +60,7 @@ main(int argc, char **argv)
     bool verbose = false;
 
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -74,15 +77,15 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--fail-on") == 0 ||
                    std::strncmp(argv[i], "--fail-on=", 10) == 0) {
             failOn = argv[i][9] == '=' ? argv[i] + 10 : value(i);
-            fatal_if(failOn != "error" && failOn != "warning" &&
-                         failOn != "advisory",
-                     "--fail-on takes error, warning or advisory, "
-                     "not '%s'", failOn.c_str());
+            usage_error_if(failOn != "error" && failOn != "warning" &&
+                               failOn != "advisory",
+                           "--fail-on takes error, warning or advisory, "
+                           "not '%s'", failOn.c_str());
         } else if (std::strcmp(argv[i], "--verbose") == 0) {
             verbose = true;
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "examples/lint_ir.cpp)", argv[i]);
+            usage_error("unknown option '%s' (see the header of "
+                        "examples/lint_ir.cpp)", argv[i]);
         }
     }
     if (configNames.empty())
@@ -204,4 +207,12 @@ main(int argc, char **argv)
     if (failOn == "advisory" && advisories)
         return 3;
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

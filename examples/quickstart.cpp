@@ -97,10 +97,8 @@ class SaxpyWorkload : public Workload
     bool done = false;
 };
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
     const double a = 2.5;
@@ -121,4 +119,12 @@ main()
                 "mechanisms only\nchange *when* things happen, never "
                 "*what* is computed.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

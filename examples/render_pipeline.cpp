@@ -39,10 +39,8 @@ runStage(const char *stage, const char *kernel, const char *config,
                 res.opsPerCycle());
 }
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
     const uint64_t vertices = 2048;
@@ -70,4 +68,12 @@ main()
     std::printf("\n  frame total: %" PRIu64 " cycles\n",
                 total2);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

@@ -64,8 +64,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::vector<uint64_t> coreCounts = {1, 2, 4, 8};
@@ -79,7 +81,7 @@ main(int argc, char **argv)
         storeDir = env;
 
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -127,8 +129,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "examples/serve_bench.cpp)", argv[i]);
+            usage_error("unknown option '%s' (see the header of "
+                        "examples/serve_bench.cpp)", argv[i]);
         }
     }
     opts.storeDir = storeDir;
@@ -196,4 +198,12 @@ main(int argc, char **argv)
     analysis::writeJsonFile(jsonPath, doc);
     std::printf("wrote %s\n", jsonPath.c_str());
     return auditViolations ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

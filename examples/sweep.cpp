@@ -64,8 +64,10 @@
 
 using namespace dlp;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     std::vector<std::string> kernels = analysis::perfKernels();
@@ -77,7 +79,7 @@ main(int argc, char **argv)
     driver::SweepOptions opts;
 
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -122,8 +124,8 @@ main(int argc, char **argv)
             obs::setTimeseriesInterval(
                 driver::parseUintFlag("--timeseries", value(i)));
         } else {
-            fatal("unknown option '%s' (see the header of "
-                  "examples/sweep.cpp)", argv[i]);
+            usage_error("unknown option '%s' (see the header of "
+                        "examples/sweep.cpp)", argv[i]);
         }
     }
 
@@ -208,4 +210,12 @@ main(int argc, char **argv)
         std::printf("wrote timeline %s (open in Perfetto or "
                     "chrome://tracing)\n", tracePath.c_str());
     return auditViolations ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

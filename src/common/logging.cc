@@ -72,6 +72,25 @@ fatalMsg(const char *file, int line, const std::string &msg)
 }
 
 void
+usageMsg(const char *file, int line, const std::string &msg)
+{
+    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
+    throw UsageError(msg);
+}
+
+int
+guardedMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const UsageError &) {
+        return 2;
+    } catch (const FatalError &) {
+        return 1;
+    }
+}
+
+void
 warnMsg(const std::string &msg)
 {
     if (quietFlag.load(std::memory_order_relaxed))

@@ -32,6 +32,16 @@ class FatalError : public std::runtime_error
     explicit FatalError(const std::string &msg) : std::runtime_error(msg) {}
 };
 
+/**
+ * The FatalError of a bad command line (unknown option, malformed flag
+ * value), thrown by usage_error(). guardedMain() exits 2 on it.
+ */
+class UsageError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
 /** Exception thrown by panic() so tests can observe simulator bugs. */
 class PanicError : public std::logic_error
 {
@@ -50,6 +60,16 @@ std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report an unrecoverable user error and throw FatalError. */
 [[noreturn]] void fatalMsg(const char *file, int line, const std::string &msg);
+
+/** Report a bad command line and throw UsageError. */
+[[noreturn]] void usageMsg(const char *file, int line, const std::string &msg);
+
+/**
+ * Run a command-line binary's body(argc, argv) and return its exit
+ * code; a UsageError becomes exit code 2 and any other FatalError exit
+ * code 1, their message already on stderr. Panics still abort.
+ */
+int guardedMain(int argc, char **argv, int (*body)(int, char **));
 
 /**
  * Emit a warning to stderr. Identical messages are rate-limited: after
@@ -91,6 +111,9 @@ bool quietLogging();
 #define fatal(...) \
     ::dlp::fatalMsg(__FILE__, __LINE__, ::dlp::logging_detail::format(__VA_ARGS__))
 
+#define usage_error(...) \
+    ::dlp::usageMsg(__FILE__, __LINE__, ::dlp::logging_detail::format(__VA_ARGS__))
+
 #define warn(...) \
     ::dlp::warnMsg(::dlp::logging_detail::format(__VA_ARGS__))
 
@@ -112,6 +135,12 @@ bool quietLogging();
     do {                                                                      \
         if (cond)                                                             \
             fatal(__VA_ARGS__);                                               \
+    } while (0)
+
+#define usage_error_if(cond, ...)                                             \
+    do {                                                                      \
+        if (cond)                                                             \
+            usage_error(__VA_ARGS__);                                         \
     } while (0)
 
 } // namespace dlp

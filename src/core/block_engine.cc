@@ -53,9 +53,13 @@ BlockEngine::BlockEngine(const MachineParams &params,
         trackedName.push_back("link");
     });
     grantSnapshot.assign(tracked.size(), 0);
-    // Every request an activation makes lands at or after its start.
+    // Every request an activation makes lands at or after its start,
+    // and so do main memory's, which serve its L2 misses and DMA. Main
+    // memory is bound but not tracked: epoch recording neither compares
+    // nor shifts it.
     for (sim::Resource *r : tracked)
         r->bindFloor(&floorTick);
+    mem.mainMemory().portResource().bindFloor(&floorTick);
 
     // One reusable event seeds every activation (bound once here; the
     // per-activation context travels through members, not captures).
@@ -794,7 +798,9 @@ BlockEngine::captureEpochSnapshot(epoch::Snapshot &s, const RunStats &stats)
         s.res[i] = {tracked[i]->grants(), tracked[i]->waitedTicks()};
 
     // Raw (pre-preDump) copies: derived stats recompute from these at
-    // dump time, so they need no deltas of their own.
+    // dump time, so they need no deltas of their own. The mesh's short
+    // stalls are counted apart until folded into their distribution.
+    mesh.foldStalls();
     s.groups.clear();
     StatGroup *groups[] = {&engStats, &mesh.statsGroup(),
                            &mem.smc().statsGroup(), &mem.statsGroup()};
@@ -841,12 +847,10 @@ void
 BlockEngine::captureEpochTails(std::vector<epoch::ResourceTail> &out,
                                Tick origin)
 {
-    // Retire up to the floor first: which intervals below it are still
-    // resident depends on when each calendar last retired, and the tails
-    // must not.
+    // tailSince() skips intervals retired below the floor, so the tails
+    // do not depend on when each calendar last freed their storage.
     out.resize(tracked.size());
     for (size_t i = 0; i < tracked.size(); ++i) {
-        tracked[i]->retire();
         tracked[i]->tailSince(origin, out[i].busy);
         out[i].lastEnd = int64_t(tracked[i]->nextFree()) - int64_t(origin);
     }

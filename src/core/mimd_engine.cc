@@ -32,6 +32,7 @@ MimdEngine::MimdEngine(const MachineParams &params,
     bind(mem.smc().channelResources());
     bind(mem.l1().portResources());
     bind(mem.l2().portResources());
+    mem.mainMemory().portResource().bindFloor(&floorTick);
     mesh.forEachLink([this](sim::Resource &r) { r.bindFloor(&floorTick); });
 
     // Each MIMD tile issues at most one instruction per cycle.

@@ -111,8 +111,9 @@ unsigned
 JobPool::parseJobsFlag(const char *text)
 {
     std::optional<unsigned> n = parseWorkers(text);
-    fatal_if(!n, "--jobs expects a non-negative worker count, got '%s'",
-             text);
+    usage_error_if(!n,
+                   "--jobs expects a non-negative worker count, got '%s'",
+                   text);
     return *n;
 }
 
@@ -125,11 +126,12 @@ parseUintFlag(const char *flag, const std::string &text, uint64_t max)
     const char *end = text.data() + text.size();
     auto [ptr, ec] = std::from_chars(text.data(), end, v);
     bool ok = ec == std::errc() && ptr == end && v <= max;
-    fatal_if(!ok && max == UINT64_MAX,
-             "%s expects a non-negative integer, got '%s'", flag,
-             text.c_str());
-    fatal_if(!ok, "%s expects an integer in 0..%" PRIu64 ", got '%s'",
-             flag, max, text.c_str());
+    usage_error_if(!ok && max == UINT64_MAX,
+                   "%s expects a non-negative integer, got '%s'", flag,
+                   text.c_str());
+    usage_error_if(!ok,
+                   "%s expects an integer in 0..%" PRIu64 ", got '%s'",
+                   flag, max, text.c_str());
     return v;
 }
 
@@ -142,11 +144,11 @@ parseRealFlag(const char *flag, const std::string &text, double lo,
     auto [ptr, ec] = std::from_chars(text.data(), end, v);
     bool ok = ec == std::errc() && ptr == end && std::isfinite(v) &&
               v >= lo && v <= hi;
-    fatal_if(!ok && hi == HUGE_VAL,
-             "%s expects a number >= %g, got '%s'", flag, lo,
-             text.c_str());
-    fatal_if(!ok, "%s expects a number in [%g, %g], got '%s'", flag, lo,
-             hi, text.c_str());
+    usage_error_if(!ok && hi == HUGE_VAL,
+                   "%s expects a number >= %g, got '%s'", flag, lo,
+                   text.c_str());
+    usage_error_if(!ok, "%s expects a number in [%g, %g], got '%s'", flag,
+                   lo, hi, text.c_str());
     return v;
 }
 
@@ -179,12 +181,12 @@ parseUintListFlag(const char *flag, const std::string &text,
         }
         uint64_t lo = parseUintFlag(flag, tok.substr(0, dots));
         uint64_t hi = parseUintFlag(flag, tok.substr(dots + 2));
-        fatal_if(hi < lo || hi - lo > maxSpan, "%s: bad range '%s'", flag,
-                 tok.c_str());
+        usage_error_if(hi < lo || hi - lo > maxSpan, "%s: bad range '%s'",
+                       flag, tok.c_str());
         for (uint64_t d = 0; d <= hi - lo; ++d) // no wrap at 2^64 - 1
             out.push_back(lo + d);
     }
-    fatal_if(out.empty(), "%s: empty list '%s'", flag, text.c_str());
+    usage_error_if(out.empty(), "%s: empty list '%s'", flag, text.c_str());
     return out;
 }
 

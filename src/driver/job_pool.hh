@@ -96,7 +96,7 @@ class JobPool
      */
     static std::optional<unsigned> parseWorkers(const char *text);
 
-    /** parseWorkers() of a `--jobs` value; fatal() if it is malformed. */
+    /** parseWorkers() of a `--jobs` value; usage_error() if malformed. */
     static unsigned parseJobsFlag(const char *text);
 
   private:
@@ -134,17 +134,18 @@ void parallelFor(JobPool &pool, size_t n,
 
 /**
  * The checked integer parser of every bench and example flag: the
- * decimal value of `text`, which must not exceed max. fatal(), naming
- * the flag, when the text is empty, not a number (trailing characters
- * included), negative or out of range.
+ * decimal value of `text`, which must not exceed max. usage_error(),
+ * naming the flag, when the text is empty, not a number (trailing
+ * characters included), negative or out of range.
  */
 uint64_t parseUintFlag(const char *flag, const std::string &text,
                        uint64_t max = UINT64_MAX);
 
 /**
- * The same for a real value (rates, bandwidths, thresholds): fatal(),
- * naming the flag, unless `text` is a whole finite decimal number in
- * [lo, hi]. The default range is every non-negative number.
+ * The same for a real value (rates, bandwidths, thresholds):
+ * usage_error(), naming the flag, unless `text` is a whole finite
+ * decimal number in [lo, hi]. The default range is every non-negative
+ * number.
  */
 double parseRealFlag(const char *flag, const std::string &text,
                      double lo = 0.0, double hi = HUGE_VAL);
@@ -155,8 +156,8 @@ std::vector<std::string> splitList(const std::string &text);
 /**
  * A flag's list of integers: comma-separated items, each a value or an
  * inclusive range "lo..hi" of at most maxSpan + 1 values, every value
- * checked as parseUintFlag checks it. fatal() on an empty list or a
- * bad range.
+ * checked as parseUintFlag checks it. usage_error() on an empty list or
+ * a bad range.
  */
 std::vector<uint64_t> parseUintListFlag(const char *flag,
                                         const std::string &text,

@@ -69,6 +69,9 @@ class MainMemory
 
     uint64_t accesses() const { return port.grants(); }
 
+    /** The off-chip port (engines bind it to their floor). */
+    sim::Resource &portResource() { return port; }
+
     void resetTiming() { port.reset(); }
 
   private:

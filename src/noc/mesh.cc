@@ -36,6 +36,7 @@ MeshNetwork::initStats()
     // Derived at dump time: busy fraction of every unidirectional link
     // over the interval the mesh was active, plus per-direction totals.
     statGroup.setPreDump([this] {
+        foldStalls();
         statGroup.scalar("operandsRouted").set(double(routed));
         statGroup.scalar("totalHops").set(double(hops));
         statGroup.scalar("contentionTicks").set(double(contention));
@@ -62,30 +63,19 @@ MeshNetwork::initStats()
     });
 }
 
-sim::Resource &
-MeshNetwork::linkFor(Coord at, int drow, int dcol)
-{
-    size_t idx = static_cast<size_t>(at.row) * cols + at.col;
-    if (dcol > 0)
-        return east[idx];
-    if (dcol < 0)
-        return west[idx];
-    if (drow > 0)
-        return south[idx];
-    return north[idx];
-}
-
 Tick
-MeshNetwork::traverseLink(Coord at, int drow, int dcol, Tick ready)
+MeshNetwork::walkXY(Coord from, Coord to, Tick t)
 {
-    sim::Resource &link = linkFor(at, drow, dcol);
-    Tick grant = link.acquire(ready);
-    contention += grant - ready;
-    stallDist->sample(double(grant - ready));
-    ++hops;
-    Tick depart = grant + hopTicks;
-    lastActivity = std::max(lastActivity, depart);
-    return depart;
+    size_t idx = static_cast<size_t>(from.row) * cols + from.col;
+    for (unsigned c = from.col; c < to.col; ++c)
+        t = hop(east[idx++], t);
+    for (unsigned c = from.col; c > to.col; --c)
+        t = hop(west[idx--], t);
+    for (unsigned r = from.row; r < to.row; ++r, idx += cols)
+        t = hop(south[idx], t);
+    for (unsigned r = from.row; r > to.row; --r, idx -= cols)
+        t = hop(north[idx], t);
+    return t;
 }
 
 Tick
@@ -100,20 +90,8 @@ MeshNetwork::route(Coord src, Coord dst, Tick inject)
     if (src == dst)
         return inject;
 
-    Tick t = inject;
-    Coord cur = src;
-    // X first ...
-    while (cur.col != dst.col) {
-        int dcol = cur.col < dst.col ? 1 : -1;
-        t = traverseLink(cur, 0, dcol, t);
-        cur.col = static_cast<uint8_t>(cur.col + dcol);
-    }
-    // ... then Y.
-    while (cur.row != dst.row) {
-        int drow = cur.row < dst.row ? 1 : -1;
-        t = traverseLink(cur, drow, 0, t);
-        cur.row = static_cast<uint8_t>(cur.row + drow);
-    }
+    Tick t = walkXY(src, dst, inject);
+    account(distance(src, dst), inject, t);
     DPRINTF(Mesh,
             "route (%u,%u)->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64
             " stall=%" PRIu64,
@@ -130,19 +108,10 @@ MeshNetwork::routeToEdge(Coord src, Tick inject)
     panic_if(src.row >= rows || src.col >= cols, "edge route from off-grid");
     ++routed;
 
-    Tick t = inject;
-    Coord cur = src;
-    while (cur.col != 0) {
-        t = traverseLink(cur, 0, -1, t);
-        cur.col--;
-    }
+    Tick t = walkXY(src, Coord{src.row, 0}, inject);
     // Cross from column 0 into the row's memory port.
-    Tick grant = edgeOut[src.row].acquire(t);
-    contention += grant - t;
-    stallDist->sample(double(grant - t));
-    ++hops;
-    Tick arrive = grant + hopTicks;
-    lastActivity = std::max(lastActivity, arrive);
+    Tick arrive = hop(edgeOut[src.row], t);
+    account(src.col + 1u, inject, arrive);
     DPRINTF(Mesh,
             "toEdge (%u,%u) inject=%" PRIu64 " at-port=%" PRIu64,
             src.row, src.col, inject, arrive);
@@ -158,28 +127,25 @@ MeshNetwork::routeFromEdge(unsigned row, Coord dst, Tick inject)
     ++routed;
 
     // Cross from the memory port into column 0 of the row.
-    Tick grant = edgeIn[row].acquire(inject);
-    contention += grant - inject;
-    stallDist->sample(double(grant - inject));
-    ++hops;
-    Tick t = grant + hopTicks;
-    lastActivity = std::max(lastActivity, t);
-
-    Coord cur{static_cast<uint8_t>(row), 0};
-    while (cur.col != dst.col) {
-        t = traverseLink(cur, 0, 1, t);
-        cur.col++;
-    }
-    while (cur.row != dst.row) {
-        int drow = cur.row < dst.row ? 1 : -1;
-        t = traverseLink(cur, drow, 0, t);
-        cur.row = static_cast<uint8_t>(cur.row + drow);
-    }
+    Coord entry{static_cast<uint8_t>(row), 0};
+    Tick t = walkXY(entry, dst, hop(edgeIn[row], inject));
+    account(1 + distance(entry, dst), inject, t);
     DPRINTF(Mesh,
             "fromEdge row %u ->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64,
             row, dst.row, dst.col, inject, t);
     OBS_SIM_SPAN(Mesh, "fromEdge", inject, t - inject, dst.col + 1);
     return t;
+}
+
+void
+MeshNetwork::foldStalls()
+{
+    for (size_t v = 0; v < smallStalls.size(); ++v) {
+        if (smallStalls[v]) {
+            stallDist->sample(double(v), smallStalls[v]);
+            smallStalls[v] = 0;
+        }
+    }
 }
 
 void
@@ -192,6 +158,7 @@ MeshNetwork::reset()
     hops = 0;
     contention = 0;
     lastActivity = 0;
+    smallStalls.fill(0);
     statGroup.resetAll();
 }
 

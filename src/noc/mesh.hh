@@ -19,6 +19,8 @@
 #ifndef DLP_NOC_MESH_HH
 #define DLP_NOC_MESH_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -113,6 +115,15 @@ class MeshNetwork
      */
     StatGroup &statsGroup() { return statGroup; }
 
+    /**
+     * Fold the short per-hop stalls counted since the last call into
+     * the contentionStallTicks distribution. The mesh's pre-dump does
+     * this; call it before reading the raw distribution directly. The
+     * sums are integers below 2^53, so the result is bit-identical to
+     * sampling every hop as it happens.
+     */
+    void foldStalls();
+
     /** Clear all link occupancy and counters. */
     void reset();
 
@@ -132,10 +143,33 @@ class MeshNetwork
     /** Register statistics and the pre-dump utilization refresh. */
     void initStats();
 
-    /** Traverse one link in the given direction from tile at. */
-    Tick traverseLink(Coord at, int drow, int dcol, Tick ready);
+    /** Acquire link at ready, count the stall; the departure tick. */
+    Tick
+    hop(sim::Resource &link, Tick ready)
+    {
+        Tick grant = link.acquire(ready);
+        Tick stall = grant - ready;
+        if (stall < smallStalls.size())
+            ++smallStalls[stall];
+        else
+            stallDist->sample(double(stall));
+        return grant + hopTicks;
+    }
 
-    sim::Resource &linkFor(Coord at, int drow, int dcol);
+    /**
+     * Walk from tile `from` to tile `to`, X first then Y, starting at
+     * tick t; the arrival tick.
+     */
+    Tick walkXY(Coord from, Coord to, Tick t);
+
+    /** Count one route of n hops from inject to arrive. */
+    void
+    account(unsigned n, Tick inject, Tick arrive)
+    {
+        hops += n;
+        contention += arrive - inject - Tick(n) * hopTicks;
+        lastActivity = std::max(lastActivity, arrive);
+    }
 
     unsigned rows;
     unsigned cols;
@@ -157,6 +191,8 @@ class MeshNetwork
 
     StatGroup statGroup{"noc.mesh"};
     Distribution *stallDist = nullptr; ///< per-hop contention stalls
+    /// Hops that stalled v ticks, for v below 64, not yet in stallDist.
+    std::array<uint64_t, 64> smallStalls{};
 };
 
 } // namespace dlp::noc

@@ -4,7 +4,7 @@
  *
  * Router ports, cache-bank ports, register-file ports, ALU issue slots
  * and DMA engines are all "one grant every N ticks" resources. Each
- * resource keeps a calendar of busy intervals: a request is granted the
+ * resource keeps a calendar of busy ticks: a request is granted the
  * first idle window of the required length at or after its ready time.
  * Unlike a simple next-free-tick watermark, the calendar serves requests
  * that arrive out of simulation order correctly -- a late-simulated but
@@ -12,42 +12,50 @@
  * previously granted later one, which is what a real FCFS queue would
  * have done.
  *
- * The calendar is a flat sorted small-vector of disjoint merged
- * intervals rather than a node-based map. The common case -- acquire
- * at or after the end of the last interval -- is recognized in O(1)
- * and either extends the tail interval in place or appends, with zero
- * allocations. Out-of-order acquires binary-search the flat array and
- * insert with memmove, which beats map node churn at these sizes.
+ * The calendar is an occupancy bitmap: a ring of 64-tick words (four
+ * inline, more on the heap) whose word 0 starts at a base tick, one bit
+ * per tick, busy when set. Ticks at or after `lastEnd`, the end of the
+ * latest grant, are all idle. An acquire at or after `lastEnd` -- where
+ * in-order traffic always lands -- just sets its bits. Instruction
+ * revitalization starts activation a+1 before activation a drains, so
+ * on the Figure-5/Table-4 grid 42% of acquires land before `lastEnd`
+ * instead; they find their window with count-trailing-zeros scans of a
+ * word or two. The busy run that ends at `lastEnd` -- a saturated
+ * resource's queue -- starts at `tailStart`: a request inside it is
+ * granted at `lastEnd` at once, and a scan that reaches it skips it
+ * whole.
  *
- * Calendars do not stay small on their own. Instruction revitalization
- * starts activation a+1 before activation a drains, so link, bank and
- * port calendars fill with short gaps that never merge: on the full
- * Figure-5/Table-4 grid 42% of acquires took the out-of-order path,
- * over calendars of 3,341 intervals on average and 37,883 at most.
- * Hence the floor: an engine binds each resource to a tick that no
- * future request falls below (BlockEngine: the current activation's
- * start; MimdEngine: the tick it last popped). An interval ending
- * before the floor can neither delay nor merge with any later grant,
- * so the calendar drops such leading intervals before an out-of-order
- * search and before its storage would grow. That cut the same grid's
- * out-of-order calendars to 59 intervals on average, about 3 k at most.
- * Unbound resources keep their whole history, as tests and benches
- * expect.
+ * The base moves forward, one word at a time, when a grant needs room
+ * past the ring's end. It slides past a leading word that lies wholly
+ * below the floor (see below), or that is fully busy: in both cases one
+ * tick, `belowStart`, keeps everything a later request can see of it --
+ * where the busy run that reaches the base began. The ring doubles only
+ * when neither applies. A calendar whose every grant ends below the
+ * floor restarts its window at the floor. The base moves back only for
+ * a grant below it, which only shiftCalendar() makes possible.
  *
- * Retirement is lazy, so which intervals below the floor are still
- * resident depends on when a calendar last retired. Anything that
- * compares calendars -- epoch recording diffs tailSince() between two
- * units -- must retire() first.
+ * The floor: an engine binds each resource to a tick that no future
+ * request falls below (BlockEngine: the current activation's start;
+ * MimdEngine: the tick it last popped). A busy run ending before the
+ * floor can neither delay nor merge with any later grant, so it is
+ * retired: dropped from memory when its word slides out, and never
+ * counted by intervals() or reported by tailSince(), whether or not its
+ * word has slid yet. Bound calendars therefore span about the window
+ * between the floor and the latest grant. Unbound resources keep their
+ * whole history, as tests and benches expect.
  */
 
 #ifndef DLP_SIM_RESOURCE_HH
 #define DLP_SIM_RESOURCE_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -64,8 +72,8 @@ namespace dlp::sim {
 /**
  * A minimal small-buffer vector for trivially copyable elements:
  * `Inline` slots live inside the object; longer sequences spill to a
- * geometrically grown heap block. Exactly the operations the interval
- * calendar needs -- indexed access, push_back, insert, erase, clear.
+ * geometrically grown heap block. Exactly what the calendar's word
+ * ring needs: push_back, indexed access, copy and move.
  */
 template <typename T, size_t Inline>
 class SmallVec
@@ -103,16 +111,10 @@ class SmallVec
     ~SmallVec() { releaseHeap(); }
 
     size_t size() const { return count; }
-    bool empty() const { return count == 0; }
 
     T &operator[](size_t i) { return data_[i]; }
     const T &operator[](size_t i) const { return data_[i]; }
 
-    T &back() { return data_[count - 1]; }
-    const T &back() const { return data_[count - 1]; }
-
-    const T *begin() const { return data_; }
-    const T *end() const { return data_ + count; }
     T *begin() { return data_; }
     T *end() { return data_ + count; }
 
@@ -123,41 +125,6 @@ class SmallVec
             grow();
         data_[count++] = v;
     }
-
-    /** Insert v before index at. */
-    void
-    insert(size_t at, const T &v)
-    {
-        if (count == cap)
-            grow();
-        std::memmove(data_ + at + 1, data_ + at,
-                     (count - at) * sizeof(T));
-        data_[at] = v;
-        ++count;
-    }
-
-    /** Erase the element at index at. */
-    void
-    erase(size_t at)
-    {
-        std::memmove(data_ + at, data_ + at + 1,
-                     (count - at - 1) * sizeof(T));
-        --count;
-    }
-
-    /** Erase the first n elements. */
-    void
-    eraseFront(size_t n)
-    {
-        std::memmove(data_, data_ + n, (count - n) * sizeof(T));
-        count -= n;
-    }
-
-    /** Drop all elements; keeps the heap block, if any. */
-    void clear() { count = 0; }
-
-    /** Would the next push_back or insert have to grow the storage? */
-    bool full() const { return count == cap; }
 
   private:
     void
@@ -230,7 +197,11 @@ class Resource
     /**
      * @param interval Ticks between successive grants (service time).
      */
-    explicit Resource(Tick interval = 1) : serviceInterval(interval) {}
+    explicit Resource(Tick interval = 1) : serviceInterval(interval)
+    {
+        for (size_t i = 0; i < inlineWords; ++i)
+            ring.push_back(0);
+    }
 
     /**
      * Acquire the resource no earlier than earliest.
@@ -255,29 +226,25 @@ class Resource
         if (units == 0)
             return earliest;
         Tick len = serviceInterval * units;
-        Tick grant;
-        // Fast path (the last-insert hint): the request lands at or
-        // after the calendar's tail, which is where in-order traffic
-        // always lands. Extend the tail interval in place (touching)
-        // or append -- O(1), no search, no allocation.
-        if (busy.empty() || earliest >= busy.back().end) {
-            grant = earliest;
-            if (!busy.empty() && busy.back().end == earliest) {
-                busy.back().end = earliest + len;
-            } else {
-                if (busy.full())
-                    retire();
-                busy.push_back({earliest, earliest + len});
-            }
-        } else {
-            retire();
-            size_t pos;
-            grant = findWindow(earliest, len, pos);
-            insertBusy(pos, grant, grant + len);
-        }
+        // Nothing is scheduled at or after lastEnd, so an in-order
+        // request is granted at once, and one inside the tail run at
+        // lastEnd; any other scans the bitmap.
+        Tick grant = earliest >= lastEnd    ? earliest
+                     : earliest >= tailStart ? lastEnd
+                                             : freeWindow(earliest, len);
+        markBusy(grant, grant + len);
         totalGrants += units;
         totalWait += grant - earliest;
-        lastEnd = std::max(lastEnd, grant + len);
+        // A grant past lastEnd starts at or after it (lastEnd - 1 is
+        // busy): it extends the tail run or starts a new one. One that
+        // ends where the tail run starts extends it downward.
+        if (grant + len > lastEnd) {
+            if (grant > lastEnd)
+                tailStart = grant;
+            lastEnd = grant + len;
+        } else if (grant + len == tailStart) {
+            tailStart = grant;
+        }
         return grant;
     }
 
@@ -285,12 +252,8 @@ class Resource
     bool
     idleAt(Tick earliest) const
     {
-        // O(1) answer for the common case: nothing is scheduled at or
-        // after earliest, so the window trivially starts there.
-        if (busy.empty() || earliest >= busy.back().end)
-            return true;
-        size_t pos;
-        return findWindow(earliest, serviceInterval, pos) == earliest;
+        Tick end = earliest + serviceInterval;
+        return earliest >= lastEnd || firstBusy(earliest, end) == end;
     }
 
     /** End of the last scheduled busy interval. */
@@ -310,27 +273,56 @@ class Resource
     void bindFloor(const Tick *tick) { floor = tick; }
 
     /**
-     * Drop the leading intervals that end before the floor. Exact: a
-     * grant at or after the floor can neither overlap such an interval
-     * nor touch it, so no answer changes.
+     * Free the storage of busy intervals that end before the floor:
+     * slide the base past leading words wholly below the floor or fully
+     * busy. Exact: no answer changes, because a grant at or after the
+     * floor can neither overlap nor touch a retired interval, and
+     * intervals() and tailSince() skip those intervals anyway.
      */
     void
     retire()
     {
-        size_t n = 0;
-        while (n < busy.size() && busy[n].end < *floor)
-            ++n;
-        if (n)
-            busy.eraseFront(n);
+        const Tick top = ~uint64_t(0);
+        for (size_t n = ring.size(); n > 0; --n) {
+            uint64_t &first = ring[head];
+            if (first != top && base + 64 > *floor)
+                break;
+            Tick next = base + 64;
+            // A fully busy word extends the run reaching the base (or
+            // starts one at it); otherwise the run reaching the new base
+            // begins inside this word, or there is none.
+            if (first != top)
+                belowStart = next - Tick(std::countl_one(first));
+            first = 0;
+            head = (head + 1) & (ring.size() - 1);
+            base = next;
+        }
+        // Every grant ended below the floor: restart the window there.
+        if (lastEnd <= base && base < *floor)
+            base = belowStart = *floor;
     }
 
-    /** Busy intervals currently held (merged, not yet retired). */
-    size_t intervals() const { return busy.size(); }
+    /**
+     * Busy intervals held: merged runs of busy ticks that end at or
+     * after the floor (every run, when unbound).
+     */
+    size_t
+    intervals() const
+    {
+        size_t n = 0;
+        forEachLiveRun([&n](Tick, Tick) { ++n; });
+        return n;
+    }
 
     void
     reset()
     {
-        busy.clear();
+        for (uint64_t &w : ring)
+            w = 0;
+        head = 0;
+        base = 0;
+        belowStart = 0;
+        tailStart = 0;
         lastEnd = 0;
         totalGrants = 0;
         totalWait = 0;
@@ -357,24 +349,25 @@ class Resource
      * a real simulation would have left behind is exactly the recorded
      * one shifted by K*period: the pre-epoch prefix is never consulted
      * again (future requests arrive at or after the new tail), and the
-     * tail lands where periodicity places it.
+     * tail lands where periodicity places it. The bitmap is relative to
+     * its base, so only the base ticks move.
      */
     void
     shiftCalendar(Tick shift)
     {
-        for (auto &iv : busy) {
-            iv.start += shift;
-            iv.end += shift;
-        }
+        base += shift;
+        belowStart += shift;
+        tailStart += shift;
         lastEnd += shift;
     }
 
     /**
-     * The busy intervals still extending past `origin`, as signed
-     * offsets relative to it. Two iterations of a periodic schedule are
-     * indistinguishable to all future requests iff these relative tails
-     * (plus the relative calendar end) match -- the epoch pass pipeline
-     * compares them between consecutive recorded iterations.
+     * The busy intervals extending past `origin` and ending at or after
+     * the floor, as signed offsets relative to origin. Two iterations of
+     * a periodic schedule are indistinguishable to all future requests
+     * iff these relative tails (plus the relative calendar end) match --
+     * the epoch pass pipeline compares them between consecutive
+     * recorded iterations.
      *
      * Interval starts clamp at origin: grants never land before their
      * request tick and every future request arrives at or after origin,
@@ -382,91 +375,213 @@ class Resource
      * all future behavior. Without the clamp a saturated resource --
      * one continuous interval growing by a period per iteration --
      * would never compare tail-equal.
-     *
-     * With a bound floor above origin, the intervals ending between
-     * the two are reported only until the next retirement; call
-     * retire() first for an answer that does not depend on when that
-     * was.
      */
     void
     tailSince(Tick origin,
               std::vector<std::pair<int64_t, int64_t>> &out) const
     {
         out.clear();
-        for (const auto &iv : busy) {
-            if (iv.end > origin) {
-                out.emplace_back(int64_t(std::max(iv.start, origin) -
-                                         origin),
-                                 int64_t(iv.end - origin));
-            }
-        }
+        forEachLiveRun([&](Tick start, Tick end) {
+            if (end > origin)
+                out.emplace_back(int64_t(std::max(start, origin) - origin),
+                                 int64_t(end - origin));
+        });
     }
 
     /// @}
 
   private:
-    struct Interval
-    {
-        Tick start;
-        Tick end;
-    };
+    static constexpr size_t inlineWords = 4;
 
-    /**
-     * First start >= earliest of an idle window of length len; pos
-     * receives the index of the first interval starting at or after the
-     * window (the insertion point).
+    /** Word i of the ring, covering ticks [base + 64i, base + 64i + 64). */
+    uint64_t &word(size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
+    uint64_t
+    word(size_t i) const
+    {
+        return ring[(head + i) & (ring.size() - 1)];
+    }
+
+    /** Ticks the ring covers from the base. */
+    Tick span() const { return Tick(ring.size()) * 64; }
+
+    /*
+     * The two scans below read a tick as busy if it lies in
+     * [belowStart, base) or [tailStart, lastEnd) or its bit is set.
+     * Ticks below belowStart are idle or below the floor; ticks at or
+     * after lastEnd are idle.
      */
+
+    /** First busy tick in [from, to), or to if there is none. */
     Tick
-    findWindow(Tick earliest, Tick len, size_t &pos) const
+    firstBusy(Tick from, Tick to) const
     {
-        Tick t = earliest;
-        // First interval with start > t.
-        size_t idx = upperBound(t);
-        if (idx > 0 && busy[idx - 1].end > t)
-            t = busy[idx - 1].end;
-        while (idx < busy.size() && busy[idx].start < t + len) {
-            t = std::max(t, busy[idx].end);
-            ++idx;
+        if (from < base) {
+            if (belowStart < base) {
+                Tick hit = std::max(from, belowStart);
+                return hit < to ? hit : to;
+            }
+            from = base;
         }
-        pos = idx;
-        return t;
+        Tick limit = std::min(to, lastEnd);
+        if (from >= limit)
+            return to;
+        Tick off = from - base;
+        size_t w = off / 64;
+        Tick wordStart = base + w * 64;
+        uint64_t bits = word(w) & (~uint64_t(0) << (off % 64));
+        while (!bits) {
+            wordStart += 64;
+            if (wordStart >= limit)
+                return to;
+            bits = word(++w);
+        }
+        Tick hit = wordStart + Tick(std::countr_zero(bits));
+        return hit < limit ? hit : to;
     }
 
-    /** Index of the first interval with start > t. */
-    size_t
-    upperBound(Tick t) const
+    /** First idle tick at or after from. */
+    Tick
+    firstFree(Tick from) const
     {
-        size_t lo = 0, hi = busy.size();
-        while (lo < hi) {
-            size_t mid = (lo + hi) / 2;
-            if (busy[mid].start > t)
-                hi = mid;
-            else
-                lo = mid + 1;
+        if (from < base) {
+            if (from < belowStart)
+                return from;
+            from = base;
         }
-        return lo;
+        // A saturated resource's queue is one long tail run: skip it
+        // whole instead of word by word.
+        if (from >= tailStart)
+            return std::max(from, lastEnd);
+        Tick off = from - base;
+        size_t w = off / 64;
+        Tick wordStart = base + w * 64;
+        uint64_t bits = ~word(w) & (~uint64_t(0) << (off % 64));
+        while (!bits) {
+            wordStart += 64;
+            if (wordStart >= tailStart)
+                return lastEnd;
+            bits = ~word(++w);
+        }
+        return wordStart + Tick(std::countr_zero(bits));
+    }
+
+    /** First start >= t of an idle window of length len. */
+    Tick
+    freeWindow(Tick t, Tick len) const
+    {
+        for (;;) {
+            Tick hit = firstBusy(t, t + len);
+            if (hit == t + len)
+                return t;
+            t = firstFree(hit);
+        }
+    }
+
+    /** Set the bits of [start, end), making room for them first. */
+    void
+    markBusy(Tick start, Tick end)
+    {
+        if (start < base || end - base > span()) [[unlikely]]
+            makeRoom(start, end);
+        fill(start, end);
+    }
+
+    /** Set the bits of [start, end), which the ring covers. */
+    void
+    fill(Tick start, Tick end)
+    {
+        Tick off = start - base;
+        size_t w = off / 64;
+        unsigned bit = unsigned(off % 64);
+        for (Tick n = end - start; n > 0; bit = 0) {
+            Tick take = std::min<Tick>(64 - bit, n);
+            uint64_t ones = take == 64 ? ~uint64_t(0)
+                                       : (uint64_t(1) << take) - 1;
+            word(w++) |= ones << bit;
+            n -= take;
+        }
+    }
+
+    /** Move or grow the ring so that it covers [start, end). */
+    void
+    makeRoom(Tick start, Tick end)
+    {
+        if (start < base)
+            extendDown(start);
+        retire();
+        if (end - base > span()) {
+            size_t words = ring.size() * 2;
+            while (Tick(words) * 64 < end - base)
+                words *= 2;
+            regrow(0, words);
+        }
     }
 
     /**
-     * Insert [start, end) before index pos, merging with a touching
-     * predecessor and/or successor. The window search guarantees the
-     * new interval overlaps no existing interior, so at most one merge
-     * on each side.
+     * Lower the base to start, or to the start of the run below the
+     * base if that is earlier, so that the ring holds every busy tick
+     * again. A grant below the base happens only after shiftCalendar()
+     * moved the calendar past a tick a later request may ask for.
      */
     void
-    insertBusy(size_t pos, Tick start, Tick end)
+    extendDown(Tick start)
     {
-        bool mergePrev = pos > 0 && busy[pos - 1].end >= start;
-        bool mergeNext = pos < busy.size() && busy[pos].start <= end;
-        if (mergePrev && mergeNext) {
-            busy[pos - 1].end = busy[pos].end;
-            busy.erase(pos);
-        } else if (mergePrev) {
-            busy[pos - 1].end = end;
-        } else if (mergeNext) {
-            busy[pos].start = start;
-        } else {
-            busy.insert(pos, {start, end});
+        Tick oldBase = base;
+        Tick bits = base - std::min(start, belowStart);
+        base -= bits;
+        Tick held = std::max(lastEnd, start + 1) - base;
+        regrow(bits, std::bit_ceil(std::max(inlineWords,
+                                            size_t((held + 63) / 64))));
+        fill(belowStart, oldBase);
+        belowStart = base;
+    }
+
+    /**
+     * Copy the ring into `words` words (a power of two), unwrapped so
+     * that word 0 is at index 0, and `bits` ticks later: the first
+     * `bits` ticks of the copy are idle.
+     */
+    void
+    regrow(Tick bits, size_t words)
+    {
+        size_t lead = size_t(bits / 64);
+        unsigned up = unsigned(bits % 64);
+        auto old = [&](size_t i) {
+            return i >= lead && i - lead < ring.size() ? word(i - lead) : 0;
+        };
+        SmallVec<uint64_t, inlineWords> grown;
+        for (size_t i = 0; i < words; ++i) {
+            uint64_t w = old(i) << up;
+            if (up && i > 0)
+                w |= old(i - 1) >> (64 - up);
+            grown.push_back(w);
+        }
+        ring = std::move(grown);
+        head = 0;
+    }
+
+    /**
+     * Call fn(start, end) for every merged busy run that ends at or
+     * after the floor, in order: the run reaching the base, then the
+     * runs in the ring.
+     */
+    template <typename Fn>
+    void
+    forEachLiveRun(Fn &&fn) const
+    {
+        Tick t = base;
+        if (belowStart < base) {
+            t = firstFree(base);
+            if (t >= *floor)
+                fn(belowStart, t);
+        }
+        for (;;) {
+            Tick start = firstBusy(t, lastEnd);
+            if (start >= lastEnd)
+                return;
+            t = firstFree(start);
+            if (t >= *floor)
+                fn(start, t);
         }
     }
 
@@ -474,9 +589,13 @@ class Resource
 
     Tick serviceInterval;
     const Tick *floor = &noFloor;
-    /// Disjoint merged busy intervals, sorted by start.
-    SmallVec<Interval, 4> busy;
-    Tick lastEnd = 0;
+    /// Occupancy bits, one per tick from base; a power-of-two ring.
+    SmallVec<uint64_t, inlineWords> ring;
+    size_t head = 0;     ///< ring index of word 0
+    Tick base = 0;       ///< first tick of word 0
+    Tick belowStart = 0; ///< [belowStart, base) is busy; == base if idle
+    Tick tailStart = 0;  ///< [tailStart, lastEnd) is busy
+    Tick lastEnd = 0;    ///< every tick from here on is idle
     uint64_t totalGrants = 0;
     Tick totalWait = 0;
 };

@@ -74,6 +74,60 @@ TEST(Mesh, CountsHopsAndOperands)
     EXPECT_EQ(mesh.totalHops(), 2u);
 }
 
+TEST(Mesh, StallHistogramMatchesPerHopSampling)
+{
+    // A seeded mix of the three route kinds, then two bursts that queue
+    // operands for up to 149 ticks at one link. Every field of the
+    // stall histogram is pinned to the values the mesh produced when
+    // each hop sampled the distribution directly; short stalls are now
+    // counted apart and folded in at dump time.
+    MeshNetwork mesh(4, 4, 1);
+    uint64_t s = 2024;
+    auto next = [&s] {
+        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+        return s >> 33;
+    };
+    auto tile = [&next] {
+        return Coord{uint8_t(next() % 4), uint8_t(next() % 4)};
+    };
+    for (int i = 0; i < 6000; ++i) {
+        Tick inject = Tick(i / 3) + next() % 16;
+        switch (next() % 3) {
+          case 0:
+            mesh.route(tile(), tile(), inject);
+            break;
+          case 1:
+            mesh.routeToEdge(tile(), inject);
+            break;
+          default:
+            mesh.routeFromEdge(unsigned(next() % 4), tile(), inject);
+            break;
+        }
+    }
+    for (int i = 0; i < 150; ++i)
+        mesh.route({1, 0}, {3, 3}, 2500);
+    for (int i = 0; i < 90; ++i)
+        mesh.routeToEdge({2, 3}, 2600);
+
+    GroupSnapshot snap = mesh.statsGroup().snapshot();
+    const Distribution &d = snap.distributions.at("contentionStallTicks");
+    const uint64_t buckets[16] = {18330, 132, 9, 4, 4, 4, 4, 4,
+                                  4,     4,   4, 4, 4, 4, 4, 4};
+    ASSERT_EQ(d.numBuckets(), 16u);
+    for (size_t b = 0; b < 16; ++b)
+        EXPECT_EQ(d.bucket(b), buckets[b]) << "bucket " << b;
+    EXPECT_EQ(d.underflow(), 0u);
+    EXPECT_EQ(d.overflow(), 176u);
+    EXPECT_EQ(d.samples(), 18699u);
+    EXPECT_EQ(d.minValue(), 0.0);
+    EXPECT_EQ(d.maxValue(), 149.0);
+    EXPECT_EQ(d.sum(), 16256.0);
+    EXPECT_EQ(d.sumSq(), 1354220.0);
+    EXPECT_EQ(mesh.totalHops(), 18699u);
+    EXPECT_EQ(mesh.contentionTicks(), 16256u);
+    EXPECT_EQ(mesh.operandsRouted(), 6240u);
+}
+
 // ---------------------------------------------------------------------
 // Cache model
 // ---------------------------------------------------------------------

@@ -275,14 +275,14 @@ TEST(MemberEvent, ReschedulesWithoutRebinding)
 }
 
 // ---------------------------------------------------------------------
-// Flat-calendar Resource vs the node-based std::map oracle
+// Bitmap-calendar Resource vs the node-based std::map oracle
 // ---------------------------------------------------------------------
 
 namespace {
 
 /**
- * The original std::map<Tick, Tick> interval calendar, kept verbatim as
- * a behavioral oracle: the flat small-vector calendar must produce the
+ * The original std::map<Tick, Tick> interval calendar, kept as a
+ * behavioral oracle: the occupancy-bitmap calendar must produce the
  * exact same grant sequence for any acquire history.
  */
 class MapOracleResource
@@ -327,6 +327,40 @@ class MapOracleResource
             if (end > origin)
                 out.emplace_back(int64_t(std::max(start, origin) - origin),
                                  int64_t(end - origin));
+    }
+
+    /** The calendar moved shift ticks later, as Resource's. */
+    void
+    shiftCalendar(Tick shift)
+    {
+        std::map<Tick, Tick> moved;
+        for (const auto &[start, end] : busy)
+            moved.emplace(start + shift, end + shift);
+        busy.swap(moved);
+        lastEnd += shift;
+    }
+
+    /**
+     * tailSince() and the interval count as a calendar bound to floor
+     * reports them: intervals that end before the floor are retired.
+     */
+    void
+    tailSince(Tick origin, Tick floor,
+              std::vector<std::pair<int64_t, int64_t>> &out) const
+    {
+        tailSince(origin, out);
+        std::erase_if(out, [&](const auto &iv) {
+            return Tick(iv.second + int64_t(origin)) < floor;
+        });
+    }
+
+    size_t
+    intervals(Tick floor) const
+    {
+        size_t n = 0;
+        for (const auto &[start, end] : busy)
+            n += end >= floor;
+        return n;
     }
 
   private:
@@ -475,6 +509,235 @@ TEST(ResourceOracle, RetirementBelowARisingFloorMatchesMapCalendar)
         EXPECT_LE(peak, window / interval);
         EXPECT_GT(unbound.intervals(), 10 * peak);
     }
+}
+
+namespace {
+
+/** The oracle tests' generator step (Knuth's MMIX LCG). */
+uint64_t
+nextRand(uint64_t &s)
+{
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return s >> 11;
+}
+
+/** Compare tails, counts and nextFree() of a calendar bound to floor. */
+void
+expectSameCalendar(const Resource &res, const MapOracleResource &oracle,
+                   Tick origin, Tick floor)
+{
+    std::vector<std::pair<int64_t, int64_t>> tail, oracleTail;
+    res.tailSince(origin, tail);
+    oracle.tailSince(origin, floor, oracleTail);
+    EXPECT_EQ(tail, oracleTail) << "origin " << origin << " floor " << floor;
+    EXPECT_EQ(res.intervals(), oracle.intervals(floor));
+    EXPECT_EQ(res.nextFree(), oracle.nextFree());
+}
+
+} // namespace
+
+TEST(ResourceOracle, ShiftByNonMultiplesOf64ThenAcquireAboveTheBase)
+{
+    // Epoch fast-forward moves a calendar by K*period ticks: rarely a
+    // whole number of 64-tick words. A bound calendar's floor moves with
+    // it; an unbound one's stays at 0, so later requests may also land
+    // below the moved calendar.
+    for (bool bound : {true, false}) {
+        Tick floor = 0;
+        Resource res(1);
+        if (bound)
+            res.bindFloor(&floor);
+        MapOracleResource oracle(1);
+        // A saturated start: fully busy words that the base slides past.
+        for (Tick t = 0; t < 200; ++t)
+            ASSERT_EQ(res.acquire(t), oracle.acquire(t));
+        uint64_t s = bound ? 64064 : 46046;
+        for (int round = 0; round < 300; ++round) {
+            Tick shift = 1 + nextRand(s) % 1000;
+            Tick origin = oracle.nextFree() + shift;
+            for (int i = 0; i < 40; ++i) {
+                if (bound)
+                    floor += nextRand(s) % 3;
+                Tick earliest = floor + nextRand(s) % 300;
+                if (!bound && i % 4 == 0)
+                    earliest = nextRand(s) % origin;
+                uint64_t units = 1 + nextRand(s) % 3;
+                ASSERT_EQ(res.acquireMany(earliest, units),
+                          oracle.acquireMany(earliest, units))
+                    << "round " << round << " step " << i;
+            }
+            res.shiftCalendar(shift);
+            oracle.shiftCalendar(shift);
+            if (bound)
+                floor += shift;
+            Tick tailOrigin = floor > 500 ? floor - 500 : 0;
+            expectSameCalendar(res, oracle, tailOrigin, floor);
+            for (Tick d = 0; d < 6; ++d)
+                ASSERT_EQ(res.acquire(floor + d), oracle.acquire(floor + d))
+                    << "round " << round << " offset " << d;
+            expectSameCalendar(res, oracle, floor, floor);
+        }
+        EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+    }
+}
+
+TEST(ResourceOracle, TailSinceAnOriginBelowTheFloor)
+{
+    // Runs ending before the floor are retired whether or not their
+    // storage has been freed yet; a run ending at or after it is
+    // reported whole, however far below the floor it began.
+    for (Tick interval : {Tick(1), Tick(2)}) {
+        Tick floor = 0;
+        Resource res(interval);
+        res.bindFloor(&floor);
+        MapOracleResource oracle(interval);
+        uint64_t s = 1717 + interval;
+        for (int i = 0; i < 20000; ++i) {
+            floor += nextRand(s) % (3 * interval + 1);
+            Tick earliest = floor + nextRand(s) % 400;
+            uint64_t units = 1 + nextRand(s) % 3;
+            ASSERT_EQ(res.acquireMany(earliest, units),
+                      oracle.acquireMany(earliest, units))
+                << "interval " << interval << " step " << i;
+            if (i % 50 == 0) {
+                Tick below = nextRand(s) % 700;
+                expectSameCalendar(res, oracle,
+                                   floor > below ? floor - below : 0,
+                                   floor);
+            }
+            if (i % 333 == 0)
+                res.retire();
+        }
+    }
+
+    // A run that ends exactly at the floor is still live: a grant at
+    // the floor would touch it. One tick later it is retired.
+    Tick floor = 0;
+    Resource res(1);
+    res.bindFloor(&floor);
+    MapOracleResource oracle(1);
+    for (Tick t = 40; t < 100; ++t)
+        ASSERT_EQ(res.acquire(t), oracle.acquire(t));
+    floor = 100;
+    expectSameCalendar(res, oracle, 60, floor);
+    EXPECT_EQ(res.intervals(), 1u);
+    floor = 101;
+    res.retire();
+    expectSameCalendar(res, oracle, 60, floor);
+    EXPECT_EQ(res.intervals(), 0u);
+}
+
+TEST(ResourceOracle, BurstsLongerThanAWordMatch)
+{
+    // Interval 7 and up to 16 units: bursts of up to 112 ticks, which
+    // span two or three bitmap words.
+    Tick floor = 0;
+    Resource res(7);
+    res.bindFloor(&floor);
+    MapOracleResource oracle(7);
+    uint64_t s = 7716;
+    for (int i = 0; i < 20000; ++i) {
+        floor += nextRand(s) % 40;
+        Tick earliest = floor + nextRand(s) % 1500;
+        uint64_t units = 1 + nextRand(s) % 16;
+        ASSERT_EQ(res.acquireMany(earliest, units),
+                  oracle.acquireMany(earliest, units))
+            << "step " << i;
+        Tick probe = floor + nextRand(s) % 1500;
+        ASSERT_EQ(res.idleAt(probe), oracle.idleAt(probe)) << "step " << i;
+        if (i % 100 == 0)
+            expectSameCalendar(res, oracle, floor, floor);
+    }
+    EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+}
+
+TEST(ResourceOracle, GrantsMoreThanAMillionTicksAheadMatch)
+{
+    // Far-ahead grants leave a gap the window must not fill word by
+    // word when bound, and must still answer exactly when unbound.
+    for (bool bound : {true, false}) {
+        Tick floor = 0;
+        Resource res(2);
+        if (bound)
+            res.bindFloor(&floor);
+        MapOracleResource oracle(2);
+        uint64_t s = bound ? 1000001 : 2000002;
+        for (int i = 0; i < 3000; ++i) {
+            if (bound)
+                floor += nextRand(s) % 5;
+            Tick earliest = floor + nextRand(s) % 200;
+            if (i % 97 == 0)
+                earliest += 1000000 + nextRand(s) % 2000000;
+            else if (!bound)
+                earliest = nextRand(s) % (oracle.nextFree() + 50);
+            uint64_t units = 1 + nextRand(s) % 4;
+            ASSERT_EQ(res.acquireMany(earliest, units),
+                      oracle.acquireMany(earliest, units))
+                << (bound ? "bound" : "unbound") << " step " << i;
+            if (i % 200 == 0)
+                expectSameCalendar(res, oracle, floor, floor);
+        }
+        if (bound) {
+            EXPECT_LT(res.intervals(), 500u);
+        }
+    }
+}
+
+TEST(ResourceOracle, CopyAndMoveOfASpilledCalendar)
+{
+    // Enough scattered grants that the ring has left inline storage;
+    // a copy and a moved-to calendar then evolve independently and
+    // each still matches the oracle.
+    Resource original(1);
+    MapOracleResource oracle(1);
+    uint64_t s = 5150;
+    for (int i = 0; i < 400; ++i) {
+        Tick earliest = nextRand(s) % 5000;
+        ASSERT_EQ(original.acquire(earliest), oracle.acquire(earliest));
+    }
+    Resource copy(original);
+    MapOracleResource copyOracle = oracle;
+    Resource moved(std::move(original));
+    Resource assigned(3);
+    assigned = copy;
+    MapOracleResource assignedOracle = oracle;
+    for (int i = 0; i < 2000; ++i) {
+        Tick earliest = nextRand(s) % 9000;
+        ASSERT_EQ(moved.acquire(earliest), oracle.acquire(earliest));
+        Tick other = nextRand(s) % 9000;
+        ASSERT_EQ(copy.acquire(other), copyOracle.acquire(other));
+        ASSERT_EQ(assigned.acquire(earliest + other),
+                  assignedOracle.acquire(earliest + other));
+    }
+    expectSameCalendar(moved, oracle, 0, 0);
+    expectSameCalendar(copy, copyOracle, 100, 0);
+    expectSameCalendar(assigned, assignedOracle, 4000, 0);
+}
+
+TEST(ResourceOracle, SparseUnboundHistoryMatches)
+{
+    // An unbound calendar keeps every run of a long, mostly idle
+    // history: isolated grants hundreds of ticks apart, then requests
+    // back into the gaps.
+    Resource res(3);
+    MapOracleResource oracle(3);
+    uint64_t s = 31337;
+    Tick t = 0;
+    for (int i = 0; i < 3000; ++i) {
+        t += 100 + nextRand(s) % 900;
+        ASSERT_EQ(res.acquire(t), oracle.acquire(t)) << "step " << i;
+    }
+    for (int i = 0; i < 3000; ++i) {
+        Tick earliest = nextRand(s) % (t + 1);
+        uint64_t units = 1 + nextRand(s) % 5;
+        ASSERT_EQ(res.acquireMany(earliest, units),
+                  oracle.acquireMany(earliest, units))
+            << "backfill " << i;
+        ASSERT_EQ(res.idleAt(earliest), oracle.idleAt(earliest));
+    }
+    for (Tick origin : {Tick(0), t / 3, t / 2, t})
+        expectSameCalendar(res, oracle, origin, 0);
+    EXPECT_GT(res.intervals(), 3000u);
 }
 
 TEST(Resource, AcquireBelowTheFloorPanics)
@@ -627,9 +890,13 @@ TEST(EventQueue, ResetAccountsDroppedEventsAsDiscarded)
 TEST(SmallVec, MatchesStdVectorThroughMixedOperations)
 {
     // Deterministic operation tape crossing the inline->heap boundary
-    // (Inline = 4) in both directions, mirrored against std::vector.
+    // (Inline = 4) in both directions, mirrored against std::vector:
+    // appends grow it, and copies and moves of shorter or longer
+    // snapshots replace it.
     SmallVec<int, 4> sv;
     std::vector<int> ref;
+    SmallVec<int, 4> saved;
+    std::vector<int> savedRef;
     uint64_t x = 0x9e3779b97f4a7c15ull;
     auto next = [&x] {
         x ^= x << 13;
@@ -640,27 +907,28 @@ TEST(SmallVec, MatchesStdVectorThroughMixedOperations)
     for (int step = 0; step < 2000; ++step) {
         uint64_t roll = next() % 100;
         int v = static_cast<int>(next() % 1000);
-        if (roll < 50 || ref.empty()) {
+        if (roll < 80) {
             sv.push_back(v);
             ref.push_back(v);
-        } else if (roll < 75) {
-            size_t at = next() % (ref.size() + 1);
-            sv.insert(at, v);
-            ref.insert(ref.begin() + at, v);
-        } else if (roll < 95) {
-            size_t at = next() % ref.size();
-            sv.erase(at);
-            ref.erase(ref.begin() + at);
+        } else if (roll < 88) {
+            saved = sv;
+            savedRef = ref;
+        } else if (roll < 94) {
+            sv = saved;
+            ref = savedRef;
         } else {
-            sv.clear();
-            ref.clear();
+            SmallVec<int, 4> fresh;
+            std::vector<int> freshRef;
+            for (int i = 0; i < v % 9; ++i) {
+                fresh.push_back(i);
+                freshRef.push_back(i);
+            }
+            sv = std::move(fresh);
+            ref = freshRef;
         }
         ASSERT_EQ(sv.size(), ref.size()) << "step " << step;
         for (size_t i = 0; i < ref.size(); ++i)
             ASSERT_EQ(sv[i], ref[i]) << "step " << step << " index " << i;
-        if (!ref.empty()) {
-            ASSERT_EQ(sv.back(), ref.back());
-        }
     }
 }
 
