@@ -31,10 +31,8 @@ run(const core::MachineParams &m, const char *kernel)
     return res.opsPerCycle();
 }
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
 
@@ -60,4 +58,12 @@ main()
     }
     rv.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

@@ -32,10 +32,8 @@ run(const core::MachineParams &m, const char *kernel)
     return res.opsPerCycle();
 }
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
 
@@ -71,4 +69,12 @@ main()
     }
     l0.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

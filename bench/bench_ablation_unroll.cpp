@@ -21,8 +21,10 @@
 using namespace dlp;
 using namespace dlp::analysis;
 
+namespace {
+
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
     std::cout << "Ablation: frame storage vs throughput (config S-O)\n\n";
@@ -47,4 +49,12 @@ main()
     }
     t.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

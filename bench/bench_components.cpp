@@ -1,13 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's substrates: mesh
- * routing, calendar resources, cache tag probes, the IR interpreter, the
- * scheduler lowerings, the JSON export of a service run, Blowfish's pi
- * table and end-to-end simulation throughput. These track
- * simulator (host) performance, not simulated-machine performance.
+ * routing, calendar resources, the MIMD ready set, cache tag probes, the
+ * IR interpreter, the scheduler lowerings, the JSON export of a service
+ * run, Blowfish's pi table and end-to-end simulation throughput. These
+ * track simulator (host) performance, not simulated-machine performance.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "analysis/export.hh"
 #include "arch/configs.hh"
@@ -25,6 +27,7 @@
 #include "sched/linearize.hh"
 #include "sched/simd_lowering.hh"
 #include "sim/eventq.hh"
+#include "sim/ready_set.hh"
 #include "sim/resource.hh"
 
 using namespace dlp;
@@ -142,6 +145,35 @@ BM_EventQueueFarFuture(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueFarFuture);
+
+static void
+BM_MimdReadySet(benchmark::State &state)
+{
+    // MimdEngine::run's scheduler traffic over 64 tiles: pop the lowest
+    // (tick, tile), peek the next tick, push the tile back -- mostly one
+    // cycle out, sometimes after a dependency stall, now and then past
+    // the 256-tick window. The tape of push-back distances is drawn up
+    // front so the loop times the set alone.
+    constexpr unsigned tiles = 64;
+    std::vector<Tick> tape(4096);
+    Rng rng(3);
+    for (Tick &d : tape) {
+        uint64_t r = rng.below(100);
+        d = r < 70 ? 2 : r < 98 ? 1 + rng.below(64) : 256 + rng.below(400);
+    }
+    sim::ReadySet set(tiles);
+    set.reset(0);
+    for (unsigned t = 0; t < tiles; ++t)
+        set.push(0, t);
+    size_t i = 0;
+    for (auto _ : state) {
+        auto [when, tile] = set.pop();
+        benchmark::DoNotOptimize(set.minTick());
+        set.push(when + tape[i++ & (tape.size() - 1)], tile);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MimdReadySet);
 
 static void
 BM_ResourceAcquireMany(benchmark::State &state)

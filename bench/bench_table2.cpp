@@ -56,10 +56,8 @@ paperTable2()
     return rows;
 }
 
-} // namespace
-
 int
-main()
+run(int, char **)
 {
     setQuietLogging(true);
     std::cout << "Table 2: benchmark attributes (ours vs. paper)\n\n";
@@ -93,4 +91,12 @@ main()
                  "the four T-tables;\nlu carries the row multiplier in the "
                  "record, 3/1 vs the paper's 2/1).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

@@ -52,16 +52,14 @@ const char *const usage =
     "                    [--store=DIR] [--trace-out=FILE] [--timeseries=N]\n"
     "                    [--fast-forward | --no-fast-forward] [--help]\n";
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
     driver::SweepOptions opts;
     auto value = [&](int &i) -> const char * {
-        fatal_if(i + 1 >= argc, "%s needs an argument", argv[i]);
+        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -97,7 +95,7 @@ main(int argc, char **argv)
             obs::setTimeseriesInterval(
                 driver::parseUintFlag("--timeseries", value(i)));
         } else {
-            fatal("unknown option '%s' (see --help)", argv[i]);
+            usage_error("unknown option '%s' (see --help)", argv[i]);
         }
     }
 
@@ -182,4 +180,12 @@ main(int argc, char **argv)
         std::cout << "Wrote timeline " << tracePath
                   << " (open in Perfetto or chrome://tracing)\n";
     return auditViolations ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

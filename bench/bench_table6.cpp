@@ -37,10 +37,8 @@ namespace {
 const char *const usage =
     "Usage: bench_table6 [--quick] [--jobs N] [--help]\n";
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
@@ -52,10 +50,10 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--quick") == 0) {
             scaleDiv = 8;
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            fatal_if(i + 1 >= argc, "--jobs needs an argument");
+            usage_error_if(i + 1 >= argc, "--jobs needs an argument");
             jobs = driver::JobPool::parseJobsFlag(argv[++i]);
         } else {
-            fatal("unknown option '%s' (see --help)", argv[i]);
+            usage_error("unknown option '%s' (see --help)", argv[i]);
         }
     }
 
@@ -119,4 +117,12 @@ main(int argc, char **argv)
            "packet processing, and ~8x behind dedicated fragment "
            "hardware.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, run);
 }

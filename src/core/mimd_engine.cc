@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <queue>
 
 #include "common/bitutils.hh"
 #include "common/trace.hh"
@@ -16,9 +15,11 @@ using isa::SeqInst;
 
 MimdEngine::MimdEngine(const MachineParams &params,
                        mem::MemorySystem &memory)
-    : m(params), mem(memory),
-      mesh(params.rows, params.cols, params.hopTicks),
-      l0Ports(params.tiles(), sim::Resource(ticksPerCycle))
+    : m(params), loadWindow(std::max(1u, params.mimdOutstandingLoads)),
+      mem(memory), mesh(params.rows, params.cols, params.hopTicks),
+      l0Ports(params.tiles(), sim::Resource(ticksPerCycle)),
+      loadSlots(size_t(params.tiles()) * loadWindow),
+      readySet(params.tiles())
 {
     // Tiles step in global time order and never request below the tick
     // they were popped at, so that tick is every shared calendar's floor.
@@ -82,6 +83,7 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
                              static_cast<uint8_t>(t % m.cols)};
         ts.regs.assign(m.tileRegs, 0);
         ts.ready.assign(m.tileRegs, start);
+        ts.loads = &loadSlots[size_t(t) * loadWindow];
         for (const auto &init : plan.initialRegs)
             ts.regs.at(init.first) = init.second;
         ts.regs.at(plan.recIdxReg) = t;
@@ -92,21 +94,17 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
     }
 
     // Advance tiles one instruction at a time in global simulated-time
-    // order, so contention for shared resources (edge ports, banks,
-    // links) resolves first-come-first-served in machine time rather
-    // than in tile-scan order.
-    using HeapEntry = std::pair<Tick, unsigned>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap;
+    // order (lower tile first within a tick), so contention for shared
+    // resources (edge ports, banks, links) resolves first-come-first-
+    // served in machine time rather than in tile-scan order.
+    readySet.reset(start);
     for (unsigned t = 0; t < m.tiles(); ++t)
-        heap.emplace(start, t);
+        readySet.push(start, t);
 
     Tick end = start;
     Tick hiTick = start; ///< high-water mark for monotonic sampling
-    while (!heap.empty()) {
-        auto [when, tileIdx] = heap.top();
-        heap.pop();
+    while (!readySet.empty()) {
+        auto [when, tileIdx] = readySet.pop();
         floorTick = when;
         TileState &ts = tiles[tileIdx];
         if (ts.pc >= plan.program.code.size())
@@ -115,25 +113,26 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
         // If this tile is dependency-stalled past the next tile's turn,
         // give way and come back at the stall-resolution time.
         Tick t = issueTime(plan, ts);
-        if (!heap.empty() && t > heap.top().first) {
-            heap.emplace(t, tileIdx);
+        if (!readySet.empty() && t > readySet.minTick()) {
+            readySet.push(t, tileIdx);
             continue;
         }
 
-        step(plan, ts, stats);
+        step(plan, ts, t, stats);
         hiTick = std::max(hiTick, ts.cursor);
         if (sampler)
             sampler->maybeSample(hiTick);
 
         if (ts.pc >= plan.program.code.size()) {
             Tick tileEnd = std::max(ts.cursor, ts.lastEffect);
-            for (Tick o : ts.outstanding)
-                tileEnd = std::max(tileEnd, o);
+            for (unsigned i = 0; i < ts.loadCount; ++i)
+                tileEnd = std::max(
+                    tileEnd, ts.loads[(ts.loadHead + i) % loadWindow]);
             end = std::max(end, tileEnd);
             DPRINTF(Engine, "tile %u finished at %" PRIu64, tileIdx,
                     tileEnd);
         } else {
-            heap.emplace(ts.cursor, tileIdx);
+            readySet.push(ts.cursor, tileIdx);
         }
     }
 
@@ -167,8 +166,27 @@ MimdEngine::issueTime(const sched::MimdPlan &plan, const TileState &ts) const
     return t;
 }
 
+Tick
+MimdEngine::waitForLoadSlot(TileState &ts, Tick t) const
+{
+    if (ts.loadCount == loadWindow) {
+        t = std::max(t, ts.loads[ts.loadHead]);
+        ts.loadHead = ts.loadHead + 1 == loadWindow ? 0 : ts.loadHead + 1;
+        --ts.loadCount;
+    }
+    return t;
+}
+
 void
-MimdEngine::step(const sched::MimdPlan &plan, TileState &ts,
+MimdEngine::recordLoad(TileState &ts, Tick done) const
+{
+    unsigned slot = ts.loadHead + ts.loadCount;
+    ts.loads[slot >= loadWindow ? slot - loadWindow : slot] = done;
+    ++ts.loadCount;
+}
+
+void
+MimdEngine::step(const sched::MimdPlan &plan, TileState &ts, Tick t,
                  RunStats &stats)
 {
     const auto &code = plan.program.code;
@@ -183,7 +201,6 @@ MimdEngine::step(const sched::MimdPlan &plan, TileState &ts,
              tile, plan.name.c_str());
     ++hostSteps;
 
-    Tick t = issueTime(plan, ts);
     trace::setCurTick(t);
     if (t > ts.cursor)
         operandWait->sample(double(t - ts.cursor));
@@ -199,10 +216,7 @@ MimdEngine::step(const sched::MimdPlan &plan, TileState &ts,
 
     switch (si.op) {
       case Op::Ld: {
-        while (ts.outstanding.size() >= m.mimdOutstandingLoads) {
-            t = std::max(t, ts.outstanding.front());
-            ts.outstanding.pop_front();
-        }
+        t = waitForLoadSlot(ts, t);
         Addr addr = a + si.imm;
         Word value = 0;
         Tick atEdge = mesh.routeToEdge(ts.here, t + ticksPerCycle);
@@ -221,7 +235,7 @@ MimdEngine::step(const sched::MimdPlan &plan, TileState &ts,
         }
         ts.regs[si.rd] = value;
         ts.ready[si.rd] = done;
-        ts.outstanding.push_back(done);
+        recordLoad(ts, done);
         ts.lastEffect = std::max(ts.lastEffect, done);
         break;
       }
@@ -247,15 +261,12 @@ MimdEngine::step(const sched::MimdPlan &plan, TileState &ts,
             done = grant + cyclesToTicks(m.l0Latency);
         } else {
             // No L0 store: the table lives in cached memory.
-            while (ts.outstanding.size() >= m.mimdOutstandingLoads) {
-                t = std::max(t, ts.outstanding.front());
-                ts.outstanding.pop_front();
-            }
+            t = waitForLoadSlot(ts, t);
             Tick atEdge = mesh.routeToEdge(ts.here, t + ticksPerCycle);
             Addr byteAddr = tableByteBase[si.tableId] + a * wordBytes;
             Tick served = mem.cachedTiming(row, byteAddr, atEdge, false);
             done = mesh.routeFromEdge(row, ts.here, served);
-            ts.outstanding.push_back(done);
+            recordLoad(ts, done);
         }
         ts.regs[si.rd] = value;
         ts.ready[si.rd] = done;

@@ -12,12 +12,21 @@
  * SIMD-style configurations on regular kernels (Section 5.3) -- while
  * table lookups hit the tile-local L0 data store when that mechanism is
  * enabled.
+ *
+ * The tiles interleave in global simulated-time order: a sim::ReadySet
+ * (sim/ready_set.hh) holds every running tile at the tick it may issue
+ * next and pops the lowest tile at the lowest tick, which steps one
+ * instruction and goes back in at its next issue cycle. A tile whose
+ * operands are not ready before the next tile's turn steps nothing: it
+ * goes back in at the tick its operands arrive. The popped tick is the
+ * floor of every shared calendar. Each tile's outstanding loads sit in
+ * a fixed ring of max(1, mimdOutstandingLoads) completion ticks; a load
+ * into a full window waits for the oldest.
  */
 
 #ifndef DLP_CORE_MIMD_ENGINE_HH
 #define DLP_CORE_MIMD_ENGINE_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/block_engine.hh" // RunStats
@@ -28,6 +37,7 @@
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
 #include "sched/plan.hh"
+#include "sim/ready_set.hh"
 
 namespace dlp::core {
 
@@ -82,7 +92,11 @@ class MimdEngine
         noc::Coord here{0, 0};
         std::vector<Word> regs;
         std::vector<Tick> ready;
-        std::deque<Tick> outstanding;
+        /// Completion ticks of the outstanding loads, oldest first: a
+        /// ring of loadWindow slots in the engine's loadSlots.
+        Tick *loads = nullptr;
+        unsigned loadHead = 0;
+        unsigned loadCount = 0;
         Tick cursor = 0;
         Tick lastEffect = 0;
         uint64_t pc = 0;
@@ -92,16 +106,31 @@ class MimdEngine
     /** Dependency-stall-resolved issue time of the tile's next inst. */
     Tick issueTime(const sched::MimdPlan &plan, const TileState &ts) const;
 
-    /** Execute one instruction on a tile. */
-    void step(const sched::MimdPlan &plan, TileState &ts, RunStats &stats);
+    /** Execute the tile's next instruction, issuing at tick t. */
+    void step(const sched::MimdPlan &plan, TileState &ts, Tick t,
+              RunStats &stats);
+
+    /**
+     * Issue tick t, delayed if the tile's load window is full until its
+     * oldest outstanding load completes (which frees that slot).
+     */
+    Tick waitForLoadSlot(TileState &ts, Tick t) const;
+
+    /** Record an outstanding load completing at done. */
+    void recordLoad(TileState &ts, Tick done) const;
 
     const MachineParams m;
+    /// Loads a tile may have in flight (mimdOutstandingLoads, at least
+    /// one, as the cost model's timing shadow assumes).
+    const unsigned loadWindow;
     mem::MemorySystem &mem;
     noc::MeshNetwork mesh;
 
     const std::vector<kernels::Table> *tables = nullptr;
     std::vector<Addr> tableByteBase;
     std::vector<sim::Resource> l0Ports;
+    std::vector<Tick> loadSlots; ///< tiles x loadWindow load rings
+    sim::ReadySet readySet;      ///< tiles waiting to step, by tick
 
     StatGroup engStats{"core.mimd"};
     Distribution *operandWait = nullptr; ///< scoreboard stall per inst

@@ -15,9 +15,9 @@
  *    window [bucketBase, bucketBase + numBuckets). Insertion is an O(1)
  *    append; FIFO order inside a bucket is exactly FIFO order within a
  *    tick, so the historical (when, seq) total order is preserved by
- *    construction. A bitmap of non-empty buckets makes the advance to
- *    the next populated tick a couple of bit scans, never a tick-by-tick
- *    crawl;
+ *    construction. A bitmap of non-empty buckets (slot_occupancy.hh,
+ *    shared with the MIMD ready set) makes the advance to the next
+ *    populated tick a couple of bit scans, never a tick-by-tick crawl;
  *
  *  - events beyond the window go to an overflow min-heap ordered by
  *    (when, seq) and migrate into the ring as the window slides over
@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cinttypes>
 #include <cstdint>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/inline_fn.hh"
+#include "sim/slot_occupancy.hh"
 
 namespace dlp::sim {
 
@@ -86,7 +86,7 @@ class EventQueue
         if (when < bucketBase + numBuckets) {
             auto idx = static_cast<size_t>(when & bucketMask);
             if (buckets[idx].empty())
-                markOccupied(idx);
+                occupied.mark(idx);
             buckets[idx].push_back(ev);
             ++ringCount;
         } else {
@@ -178,7 +178,7 @@ class EventQueue
             }
             ringCount -= bucket.size();
             bucket.clear();
-            clearOccupied(static_cast<size_t>(t & bucketMask));
+            occupied.clear(static_cast<size_t>(t & bucketMask));
             // Slide the window past the finished tick and admit any
             // overflow events it now covers.
             bucketBase = t + 1;
@@ -204,7 +204,7 @@ class EventQueue
             for (auto &bucket : buckets)
                 bucket.clear(); // keeps capacity
         }
-        occupied.fill(0);
+        occupied.reset();
         overflow.clear(); // keeps capacity
         ringCount = 0;
         pendingCount = 0;
@@ -239,19 +239,6 @@ class EventQueue
     /// Ring size in ticks (one bucket per tick). Must be a power of two.
     static constexpr size_t numBuckets = 256;
     static constexpr Tick bucketMask = numBuckets - 1;
-    static constexpr size_t numWords = numBuckets / 64;
-
-    void
-    markOccupied(size_t idx)
-    {
-        occupied[idx >> 6] |= uint64_t(1) << (idx & 63);
-    }
-
-    void
-    clearOccupied(size_t idx)
-    {
-        occupied[idx >> 6] &= ~(uint64_t(1) << (idx & 63));
-    }
 
     /**
      * Earliest tick >= bucketBase with a non-empty bucket. Every
@@ -262,29 +249,9 @@ class EventQueue
     Tick
     nextPopulatedTick() const
     {
-        auto start = static_cast<unsigned>(bucketBase & bucketMask);
-        unsigned from = start;
-        for (int pass = 0; pass < 2; ++pass) {
-            unsigned w = from >> 6;
-            uint64_t word = occupied[w] & (~uint64_t(0) << (from & 63));
-            while (true) {
-                if (word) {
-                    auto idx = (w << 6) +
-                               unsigned(std::countr_zero(word));
-                    // Ring distance from the window base to this slot;
-                    // the window spans exactly numBuckets ticks, so the
-                    // wrapped distance is unambiguous.
-                    Tick delta = (Tick(idx) + numBuckets - Tick(start)) &
-                                 bucketMask;
-                    return bucketBase + delta;
-                }
-                if (++w == numWords)
-                    break;
-                word = occupied[w];
-            }
-            from = 0;
-        }
-        panic("event ring marked populated but no occupied bucket");
+        return bucketBase +
+               occupied.distanceFrom(static_cast<size_t>(bucketBase &
+                                                         bucketMask));
     }
 
     /** Pull overflow events now covered by the window into the ring. */
@@ -297,7 +264,7 @@ class EventQueue
             const Event &ev = overflow.back();
             auto idx = static_cast<size_t>(ev.when & bucketMask);
             if (buckets[idx].empty())
-                markOccupied(idx);
+                occupied.mark(idx);
             buckets[idx].push_back(ev);
             ++ringCount;
             overflow.pop_back();
@@ -305,7 +272,7 @@ class EventQueue
     }
 
     std::array<std::vector<Event>, numBuckets> buckets;
-    std::array<uint64_t, numWords> occupied{};
+    SlotOccupancy<numBuckets> occupied;
     std::vector<Event> overflow; ///< min-heap by (when, seq)
 
     size_t ringCount = 0;     ///< events currently in the ring

@@ -315,6 +315,42 @@ TEST(MimdEngine, MoreTilesMakeItFaster)
     EXPECT_LT(runWith(8, 8), runWith(2, 2));
 }
 
+TEST(MimdEngine, ZeroLoadWindowRunsAsAWindowOfOne)
+{
+    // mimdOutstandingLoads = 0 means one load in flight, as in the cost
+    // model's timing shadow. Rijndael on M also sends its table lookups
+    // through the load window (no L0 data store).
+    struct Outcome
+    {
+        Cycles cycles;
+        uint64_t insts;
+        double waitSum;
+        uint64_t waitSamples;
+        bool operator==(const Outcome &) const = default;
+    };
+    auto runWith = [](const std::string &config, unsigned window) {
+        auto k = kernels::kernelByName("rijndael");
+        auto m = arch::configByName(config);
+        m.mimdOutstandingLoads = window;
+        arch::LoweredKernel low = arch::lowerFor(k, m);
+        mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
+        MimdEngine engine(m, memory);
+        engine.setTables(&k.tables);
+        auto stats = engine.run(std::get<sched::MimdPlan>(low.plan), 128);
+        const auto *wait =
+            engine.statsGroup().findDistribution("operandWaitTicks");
+        return Outcome{stats.cycles, stats.instsExecuted, wait->sum(),
+                       wait->samples()};
+    };
+    for (const char *config : {"M", "M-D"}) {
+        SCOPED_TRACE(config);
+        Outcome one = runWith(config, 1);
+        EXPECT_EQ(runWith(config, 0), one);
+        // The window is live: a wider one finishes sooner.
+        EXPECT_LT(runWith(config, 4).cycles, one.cycles);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Calendar retirement: the shared resources an engine binds to its
 // floor hold a bounded calendar however long the run.

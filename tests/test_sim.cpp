@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the simulation kernel: event-queue ordering and the
- * calendar-based resource model (idle-window grants are what keep the
- * engines' out-of-order acquisitions honest).
+ * Unit tests for the simulation kernel: event-queue ordering, the MIMD
+ * ready set and the calendar-based resource model (idle-window grants
+ * are what keep the engines' out-of-order acquisitions honest).
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,11 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <queue>
 #include <vector>
 
 #include "sim/eventq.hh"
+#include "sim/ready_set.hh"
 #include "sim/resource.hh"
 
 using namespace dlp;
@@ -747,6 +749,139 @@ TEST(Resource, AcquireBelowTheFloorPanics)
     port.bindFloor(&floor);
     EXPECT_EQ(port.acquire(100), 100u);
     EXPECT_THROW(port.acquire(99), PanicError);
+}
+
+// ---------------------------------------------------------------------
+// ReadySet against the min-heap of (tick, tile) pairs it replaced in
+// MimdEngine::run
+// ---------------------------------------------------------------------
+
+namespace {
+
+using TickTile = std::pair<Tick, unsigned>;
+using PairHeap = std::priority_queue<TickTile, std::vector<TickTile>,
+                                     std::greater<TickTile>>;
+
+uint64_t
+lcg(uint64_t s)
+{
+    return s * 6364136223846793005ULL + 1442695040888963407ULL;
+}
+
+/**
+ * Drive a ReadySet and the heap oracle the way MimdEngine::run drives
+ * its scheduler: pop the lowest (tick, tile), peek the next tick, then
+ * push the tile back delay(s) ticks after the popped one -- or, about
+ * once in retireOdds pops, retire it -- and finally drain both.
+ */
+template <typename Delay>
+void
+matchHeap(unsigned tiles, uint64_t seed, int steps, Delay delay,
+          uint64_t retireOdds = 1000)
+{
+    SCOPED_TRACE(testing::Message() << tiles << " tiles, seed " << seed);
+    ReadySet set(tiles);
+    PairHeap heap;
+    const Tick start = 1000;
+    set.reset(start);
+    for (unsigned t = 0; t < tiles; ++t) {
+        set.push(start, t);
+        heap.emplace(start, t);
+    }
+    uint64_t s = seed;
+    for (int i = 0; i < steps && !heap.empty(); ++i) {
+        ASSERT_EQ(set.pop(), heap.top()) << "step " << i;
+        auto [when, tile] = heap.top();
+        heap.pop();
+        ASSERT_EQ(set.empty(), heap.empty()) << "step " << i;
+        if (!heap.empty()) {
+            ASSERT_EQ(set.minTick(), heap.top().first) << "step " << i;
+        }
+        s = lcg(s);
+        if ((s >> 50) % retireOdds == 0)
+            continue;
+        Tick again = when + delay(s);
+        set.push(again, tile);
+        heap.emplace(again, tile);
+    }
+    while (!heap.empty()) {
+        ASSERT_FALSE(set.empty());
+        ASSERT_EQ(set.minTick(), heap.top().first);
+        ASSERT_EQ(set.pop(), heap.top());
+        heap.pop();
+    }
+    EXPECT_TRUE(set.empty());
+}
+
+const unsigned tileCounts[] = {1, 63, 64, 65, 130};
+
+} // namespace
+
+TEST(ReadySetOracle, SameTickTiesPopLowestTileFirst)
+{
+    // Push-backs 0-2 ticks out: many tiles share each tick, and a tile
+    // pushed back at the tick it was popped at re-enters the same mask.
+    for (unsigned tiles : tileCounts)
+        matchHeap(tiles, 11, 20000, [](uint64_t s) { return (s >> 33) % 3; });
+}
+
+TEST(ReadySetOracle, PushesPastTheWindowMigrateInOrder)
+{
+    // One push-back in four lands 255 ticks out or more, at and across
+    // the ring's edge and far past it, into the overflow heap.
+    for (unsigned tiles : tileCounts) {
+        matchHeap(tiles, 23, 20000, [](uint64_t s) -> Tick {
+            if ((s >> 33) % 4)
+                return (s >> 35) % 8;
+            const Tick edge[] = {255, 256, 257, 511, 512};
+            uint64_t pick = (s >> 40) % 8;
+            return pick < 5 ? edge[pick] : 256 + (s >> 44) % 5000;
+        });
+    }
+}
+
+TEST(ReadySetOracle, LongRandomTapeMatchesHeap)
+{
+    // The engine's shape: mostly one-cycle steps, dependency stalls of
+    // tens of ticks, and the odd load that returns past the window.
+    matchHeap(64, 77, 1'000'000, [](uint64_t s) -> Tick {
+        uint64_t r = (s >> 33) % 100;
+        if (r < 70)
+            return 2;
+        if (r < 95)
+            return 1 + (s >> 40) % 64;
+        return (s >> 40) % 1500;
+    }, 20000);
+}
+
+TEST(ReadySet, ResetEmptiesAndRebasesTheWindow)
+{
+    ReadySet set(70);
+    set.reset(500);
+    set.push(500, 69);
+    set.push(900, 3); // overflow
+    set.push(510, 0);
+    EXPECT_EQ(set.pop(), TickTile(500, 69));
+    set.reset(10); // with entries in the ring and the overflow
+    EXPECT_TRUE(set.empty());
+    set.push(10, 5);
+    set.push(10, 2);
+    EXPECT_EQ(set.minTick(), 10u);
+    EXPECT_EQ(set.pop(), TickTile(10, 2));
+    EXPECT_EQ(set.pop(), TickTile(10, 5));
+    EXPECT_TRUE(set.empty());
+}
+
+TEST(ReadySet, PushBelowTheLastPoppedTickPanics)
+{
+    ReadySet set(4);
+    set.reset(100);
+    set.push(100, 0);
+    set.push(140, 1);
+    EXPECT_EQ(set.pop(), TickTile(100, 0));
+    EXPECT_EQ(set.pop(), TickTile(140, 1));
+    set.push(140, 1); // at the last popped tick: allowed
+    EXPECT_THROW(set.push(139, 0), PanicError);
 }
 
 // ---------------------------------------------------------------------
