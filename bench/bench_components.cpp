@@ -257,13 +257,12 @@ BM_EndToEndConvert(benchmark::State &state)
 BENCHMARK(BM_EndToEndConvert);
 
 /**
- * The serve export at one capacity point's size: analysis::toJson of a
- * 50k-request ServiceResult, json::write of the document, and freeing
- * both. The request records are random but shaped like served ones,
- * integral ticks included.
+ * A 50k-request ServiceResult, the size of one capacity point's. The
+ * request records are random but shaped like served ones, integral
+ * ticks included.
  */
-static void
-BM_JsonServiceExport(benchmark::State &state)
+static arch::ServiceResult
+syntheticService()
 {
     arch::ServiceResult result;
     result.config = "S-O-D";
@@ -282,6 +281,18 @@ BM_JsonServiceExport(benchmark::State &state)
         r.finish = r.start + double(rng.below(50000));
         result.requests.push_back(r);
     }
+    return result;
+}
+
+/**
+ * The serve export at one capacity point's size: analysis::toJson of
+ * the synthetic ServiceResult, json::write of the document, and freeing
+ * both.
+ */
+static void
+BM_JsonServiceExport(benchmark::State &state)
+{
+    const arch::ServiceResult result = syntheticService();
     size_t bytes = 0;
     for (auto _ : state) {
         std::string text = json::write(analysis::toJson(result));
@@ -292,6 +303,23 @@ BM_JsonServiceExport(benchmark::State &state)
     state.SetBytesProcessed(int64_t(bytes));
 }
 BENCHMARK(BM_JsonServiceExport)->Unit(benchmark::kMillisecond);
+
+/**
+ * json::parse of the export BM_JsonServiceExport writes, and freeing
+ * the document: the path the result store's reads and warm reruns take.
+ */
+static void
+BM_JsonParse(benchmark::State &state)
+{
+    const std::string text =
+        json::write(analysis::toJson(syntheticService()));
+    for (auto _ : state) {
+        json::Value doc = json::parse(text);
+        benchmark::DoNotOptimize(&doc);
+    }
+    state.SetBytesProcessed(int64_t(state.iterations() * text.size()));
+}
+BENCHMARK(BM_JsonParse)->Unit(benchmark::kMillisecond);
 
 /** Blowfish's 1,042 pi words (18 P + 4 x 256 S-box), which the first
  *  Blowfish key schedule in a process builds. */

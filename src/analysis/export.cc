@@ -259,19 +259,22 @@ toJson(const arch::ServiceResult &result)
     }
     obj.set("profiles", std::move(profiles));
 
+    // Every request object is built in place in the array's arena, its
+    // members set through keys interned once for the whole array.
     json::Value requests = json::Value::array();
     requests.reserve(result.requests.size());
+    std::vector<json::Key> keys;
+    const arch::RequestRecord shape;
+    arch::visitFields(shape, [&](const char *key, const auto &) {
+        keys.push_back(requests.intern(key));
+    });
     for (const auto &r : result.requests) {
-        json::Value req = json::Value::object();
-        req.reserve(7);
-        req.set("index", r.index);
-        req.set("mixIndex", r.mixIndex);
-        req.set("seedSlot", r.seedSlot);
-        req.set("core", r.core);
-        req.set("arrival", r.arrival);
-        req.set("start", r.start);
-        req.set("finish", r.finish);
-        requests.push(std::move(req));
+        json::Value &req = requests.push(json::Value::object());
+        req.reserve(keys.size());
+        const json::Key *key = keys.data();
+        arch::visitFields(r, [&](const char *, const auto &f) {
+            req.set(*key++, f);
+        });
     }
     obj.set("requests", std::move(requests));
 

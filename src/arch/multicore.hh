@@ -30,8 +30,10 @@
 #ifndef DLP_ARCH_MULTICORE_HH
 #define DLP_ARCH_MULTICORE_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/processor.hh"
@@ -92,6 +94,25 @@ struct RequestRecord
     double latency() const { return finish - arrival; }
     double queueWait() const { return start - arrival; }
 };
+
+/**
+ * The request record's one field table: calls v(key, member) for every
+ * field, keyed and ordered as an exported request object. `Record` is
+ * RequestRecord or const RequestRecord.
+ */
+template <class Record, class Visitor>
+    requires std::same_as<std::remove_const_t<Record>, RequestRecord>
+void
+visitFields(Record &r, Visitor &&v)
+{
+    v("index", r.index);
+    v("mixIndex", r.mixIndex);
+    v("seedSlot", r.seedSlot);
+    v("core", r.core);
+    v("arrival", r.arrival);
+    v("start", r.start);
+    v("finish", r.finish);
+}
 
 /** Per-core accounting of one service run. */
 struct CoreServiceStats

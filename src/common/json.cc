@@ -4,9 +4,454 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <new>
 
 namespace dlp::json {
+
+namespace detail {
+
+namespace {
+
+/// Longest escape of one string byte: \u00XX.
+constexpr size_t maxEscape = 6;
+
+bool
+needsEscape(char c)
+{
+    return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+}
+
+/** Bytes quote() writes for s. */
+size_t
+quotedSize(std::string_view s)
+{
+    size_t n = 2;
+    for (char c : s) {
+        if (!needsEscape(c))
+            n += 1;
+        else if (c == '"' || c == '\\' || c == '\n' || c == '\r' ||
+                 c == '\t')
+            n += 2;
+        else
+            n += maxEscape;
+    }
+    return n;
+}
+
+/**
+ * Writes s as a quoted JSON string at out and returns the end. Takes
+ * at most 2 + maxEscape * s.size() bytes.
+ */
+char *
+quote(char *out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    *out++ = '"';
+    const char *c = s.data();
+    const char *end = c + s.size();
+    while (c != end) {
+        while (c != end && !needsEscape(*c))
+            *out++ = *c++;
+        if (c == end)
+            break;
+        switch (*c) {
+          case '"': *out++ = '\\'; *out++ = '"'; break;
+          case '\\': *out++ = '\\'; *out++ = '\\'; break;
+          case '\n': *out++ = '\\'; *out++ = 'n'; break;
+          case '\r': *out++ = '\\'; *out++ = 'r'; break;
+          case '\t': *out++ = '\\'; *out++ = 't'; break;
+          default:
+            std::memcpy(out, "\\u00", 4);
+            out[4] = hex[static_cast<unsigned char>(*c) >> 4];
+            out[5] = hex[*c & 0xf];
+            out += maxEscape;
+        }
+        ++c;
+    }
+    *out++ = '"';
+    return out;
+}
+
+constexpr size_t
+round8(size_t n)
+{
+    return (n + 7) & ~size_t(7);
+}
+
+} // namespace
+
+/** A block of arena memory; its bytes follow the header. */
+struct Chunk
+{
+    Chunk *next;
+};
+
+/**
+ * One document's memory: a list of chunks, a bump pointer into the
+ * current one, and the document's key table. The arena's own header
+ * lives in its first chunk. Nothing in it is freed before the whole
+ * list is, so a block a container outgrows stays readable.
+ */
+struct Arena
+{
+    /// Room of a container's first chunk; later chunks double up to
+    /// maxChunk, which stays under glibc's default mmap threshold so
+    /// freed chunks are reused from the heap.
+    static constexpr size_t firstChunk = 1024;
+    static constexpr size_t maxChunk = 64 * 1024;
+
+    Arena *forward = nullptr;  ///< the arena this one was spliced into
+    Chunk *first = nullptr;    ///< owned chunks, this header's first
+    Chunk *last = nullptr;
+    char *cur = nullptr;       ///< next free byte of the current chunk
+    char *end = nullptr;
+    size_t nextChunk = 2 * firstChunk;
+    const KeyEntry **keys = nullptr;  ///< open-addressed, keyMask + 1 slots
+    uint32_t keyMask = 0;
+    uint32_t keyCount = 0;
+
+    /** A new arena with room for `room` bytes in its first chunk. */
+    static Arena *
+    create(size_t room)
+    {
+        size_t bytes = sizeof(Chunk) + sizeof(Arena) + round8(room);
+        Chunk *c = newChunk(bytes);
+        Arena *a = ::new (static_cast<void *>(c + 1)) Arena;
+        a->first = a->last = c;
+        a->cur = reinterpret_cast<char *>(a + 1);
+        a->end = reinterpret_cast<char *>(c) + bytes;
+        return a;
+    }
+
+    static Chunk *
+    newChunk(size_t bytes)
+    {
+        auto *c = static_cast<Chunk *>(std::malloc(bytes));
+        if (!c)
+            throw std::bad_alloc();
+        c->next = nullptr;
+        return c;
+    }
+
+    /** The arena at the end of this one's forwarding chain. */
+    Arena *
+    root()
+    {
+        Arena *a = this;
+        while (a->forward)
+            a = a->forward;
+        return a;
+    }
+
+    void *
+    alloc(size_t n)
+    {
+        n = round8(n);
+        if (size_t(end - cur) < n)
+            return allocSlow(n);
+        void *p = cur;
+        cur += n;
+        return p;
+    }
+
+    void *
+    allocSlow(size_t n)
+    {
+        if (n >= nextChunk) {
+            // A block this large gets a chunk of its own; the current
+            // chunk keeps its free room.
+            Chunk *c = newChunk(sizeof(Chunk) + n);
+            link(c);
+            return c + 1;
+        }
+        Chunk *c = newChunk(sizeof(Chunk) + nextChunk);
+        link(c);
+        cur = reinterpret_cast<char *>(c + 1);
+        end = cur + nextChunk;
+        nextChunk = std::min(2 * nextChunk, maxChunk);
+        void *p = cur;
+        cur += n;
+        return p;
+    }
+
+    void
+    link(Chunk *c)
+    {
+        last->next = c;
+        last = c;
+    }
+
+    /**
+     * Grows the block p of oldBytes (keep of them in use) to newBytes:
+     * in place when it is the newest block and the chunk has room,
+     * else by copying into a new block.
+     */
+    void *
+    extend(void *p, size_t oldBytes, size_t keep, size_t newBytes)
+    {
+        char *block = static_cast<char *>(p);
+        size_t more = round8(newBytes) - round8(oldBytes);
+        if (block && block + round8(oldBytes) == cur &&
+            size_t(end - cur) >= more) {
+            cur += more;
+            return p;
+        }
+        void *q = alloc(newBytes);
+        if (keep)
+            std::memcpy(q, p, keep);
+        return q;
+    }
+
+    /** Takes over child's chunks; child forwards here from now on. */
+    void
+    splice(Arena *child)
+    {
+        link(child->first);
+        last = child->last;
+        child->first = child->last = nullptr;
+        child->forward = this;
+    }
+
+    const KeyEntry *
+    intern(std::string_view name)
+    {
+        if (2 * (keyCount + 1) > keyMask + 1)
+            growKeys();
+        size_t i = std::hash<std::string_view>{}(name) & keyMask;
+        for (;; i = (i + 1) & keyMask) {
+            const KeyEntry *e = keys[i];
+            if (!e)
+                break;
+            if (e->str() == name)
+                return e;
+        }
+        panic_if(name.size() > UINT32_MAX, "json: key too long");
+        size_t rendered = quotedSize(name) + 2;
+        auto *e = static_cast<KeyEntry *>(
+            alloc(sizeof(KeyEntry) + name.size() + rendered));
+        e->table = this;
+        e->size = uint32_t(name.size());
+        e->rendered = uint32_t(rendered);
+        char *raw = reinterpret_cast<char *>(e + 1);
+        std::copy(name.begin(), name.end(), raw);
+        char *text = quote(raw + name.size(), name);
+        text[0] = ':';
+        text[1] = ' ';
+        keys[i] = e;
+        ++keyCount;
+        return e;
+    }
+
+    void
+    growKeys()
+    {
+        size_t slots = keys ? 2 * (size_t(keyMask) + 1) : 16;
+        auto **table = static_cast<const KeyEntry **>(
+            alloc(slots * sizeof(const KeyEntry *)));
+        std::fill_n(table, slots, nullptr);
+        for (size_t i = 0; keys && i <= keyMask; ++i) {
+            if (!keys[i])
+                continue;
+            size_t j = std::hash<std::string_view>{}(keys[i]->str()) &
+                       (slots - 1);
+            while (table[j])
+                j = (j + 1) & (slots - 1);
+            table[j] = keys[i];
+        }
+        keys = table;
+        keyMask = uint32_t(slots - 1);
+    }
+
+    /** Frees every chunk, this header's included. */
+    void
+    release()
+    {
+        Chunk *c = first;
+        while (c) {
+            Chunk *next = c->next;
+            std::free(c);
+            c = next;
+        }
+    }
+};
+
+} // namespace detail
+
+using detail::Arena;
+
+namespace {
+
+/** Two interned keys name the same member. */
+bool
+sameKey(const detail::KeyEntry *a, const detail::KeyEntry *b)
+{
+    // One table never holds a name twice; keys from two tables (a
+    // value built standalone, then spliced in) compare by bytes.
+    return a == b || (a->table != b->table && a->str() == b->str());
+}
+
+/** An arena for a copy of o, or null if o has no storage to copy. */
+Arena *
+arenaFor(const Value &o)
+{
+    bool storage = (o.isString() && !o.asString().empty()) ||
+                   ((o.isArray() || o.isObject()) && o.size() > 0);
+    return storage ? Arena::create(Arena::firstChunk) : nullptr;
+}
+
+} // namespace
+
+Value::Value(std::string_view s) : Value()
+{
+    assignString(s);
+}
+
+Value::Value(const Value &other)
+{
+    copyFrom(other, arena_ = arenaFor(other));
+}
+
+Value::Value(Value &&other) noexcept
+{
+    if (other.root_)
+        steal(other);
+    else
+        copyFrom(other, arena_ = arenaFor(other));
+}
+
+Value &
+Value::operator=(Value &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    // Take other first: it may live in the arena this root frees.
+    Value v(std::move(other));
+    if (!root_) {
+        place(std::move(v), arena_);
+        return *this;
+    }
+    if (arena_)
+        release();
+    steal(v);
+    return *this;
+}
+
+void
+Value::steal(Value &v)
+{
+    kind_ = v.kind_;
+    rep_ = v.rep_;
+    size_ = v.size_;
+    cap_ = v.cap_;
+    int_ = v.int_;
+    arena_ = v.arena_;
+    v.kind_ = Kind::Null;
+    v.size_ = v.cap_ = 0;
+    v.arena_ = nullptr;
+}
+
+void
+Value::release()
+{
+    arena_->release();
+    arena_ = nullptr;
+}
+
+detail::Arena *
+Value::home()
+{
+    if (!arena_)
+        arena_ = Arena::create(Arena::firstChunk);
+    else if (arena_->forward)
+        arena_ = arena_->root();
+    return arena_;
+}
+
+void
+Value::place(Value &&v, detail::Arena *a)
+{
+    if (v.arena_) {
+        a = a->root();
+        panic_if(v.arena_ == a, "json: a document cannot hold itself");
+        a->splice(v.arena_);
+    }
+    steal(v);
+    root_ = false;
+    arena_ = a;
+}
+
+void
+Value::copyFrom(const Value &src, detail::Arena *a)
+{
+    kind_ = src.kind_;
+    rep_ = src.rep_;
+    int_ = src.int_;
+    size_ = cap_ = 0;
+    switch (kind_) {
+      case Kind::String: {
+        str_ = "";
+        if (!src.size_)
+            break;
+        char *p = static_cast<char *>(a->alloc(src.size_));
+        std::memcpy(p, src.str_, src.size_);
+        str_ = p;
+        size_ = src.size_;
+        break;
+      }
+      case Kind::Array:
+        items_ = nullptr;
+        if (!src.size_)
+            break;
+        items_ = static_cast<Value *>(a->alloc(src.size_ * sizeof(Value)));
+        for (; size_ < src.size_; ++size_) {
+            Value *item = ::new (static_cast<void *>(items_ + size_)) Value;
+            item->root_ = false;
+            item->arena_ = a;
+            item->copyFrom(src.items_[size_], a);
+        }
+        cap_ = size_;
+        break;
+      case Kind::Object:
+        members_ = nullptr;
+        if (!src.size_)
+            break;
+        members_ =
+            static_cast<Member *>(a->alloc(src.size_ * sizeof(Member)));
+        for (; size_ < src.size_; ++size_) {
+            Member *m = ::new (static_cast<void *>(members_ + size_)) Member;
+            const Member &from = src.members_[size_];
+            m->key_ = a->intern(from.key());
+            m->value_.root_ = false;
+            m->value_.arena_ = a;
+            m->value_.copyFrom(from.value_, a);
+        }
+        cap_ = size_;
+        break;
+      default:
+        break;
+    }
+}
+
+void
+Value::assignString(std::string_view s)
+{
+    kind_ = Kind::String;
+    str_ = "";
+    size_ = 0;
+    if (s.empty())
+        return;
+    panic_if(s.size() > UINT32_MAX, "json: string too long");
+    // A standalone string's arena holds just its bytes.
+    if (!arena_)
+        arena_ = Arena::create(s.size());
+    char *p = static_cast<char *>(home()->alloc(s.size()));
+    std::memcpy(p, s.data(), s.size());
+    str_ = p;
+    size_ = uint32_t(s.size());
+}
 
 const char *
 Value::kindName(Kind k)
@@ -68,70 +513,121 @@ Value::asInt64() const
 const Value &
 Value::at(size_t i) const
 {
-    const Array &arr = items();
+    auto arr = items();
     panic_if(i >= arr.size(), "json: index %zu out of range (size %zu)",
              i, arr.size());
     return arr[i];
 }
 
-void
-Value::set(const std::string &key, Value v)
+Value &
+Value::push(Value v)
+{
+    check(Kind::Array);
+    if (size_ == cap_)
+        grow(size_ + 1);
+    Value *slot = ::new (static_cast<void *>(items_ + size_)) Value;
+    ++size_;
+    slot->place(std::move(v), arena_);
+    return *slot;
+}
+
+Key
+Value::intern(std::string_view name)
+{
+    panic_if(kind_ != Kind::Array && kind_ != Kind::Object,
+             "json: only arrays and objects intern keys");
+    return Key(home()->intern(name));
+}
+
+Value &
+Value::set(std::string_view key, Value v)
 {
     check(Kind::Object);
-    Members &obj = std::get<Members>(data_);
-    for (auto &m : obj) {
-        if (m.first == key) {
-            m.second = std::move(v);
-            return;
+    return set(Key(home()->intern(key)), std::move(v));
+}
+
+Value &
+Value::set(Key key, Value v)
+{
+    check(Kind::Object);
+    const detail::KeyEntry *k = key.entry_;
+    // A key of another document would dangle once that one is freed.
+    if (k->table->root() != home())
+        k = arena_->intern(k->str());
+    for (uint32_t i = 0; i < size_; ++i) {
+        Member &m = members_[i];
+        if (sameKey(m.key_, k)) {
+            m.value_ = std::move(v);
+            return m.value_;
         }
     }
-    obj.emplace_back(key, std::move(v));
+    if (size_ == cap_)
+        grow(size_ + 1);
+    Member *m = ::new (static_cast<void *>(members_ + size_)) Member;
+    ++size_;
+    m->key_ = k;
+    m->value_.place(std::move(v), arena_);
+    return m->value_;
 }
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
-    for (const auto &m : members())
-        if (m.first == key)
-            return &m.second;
+    for (const Member &m : members())
+        if (m.key() == key)
+            return &m.value_;
     return nullptr;
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(std::string_view key) const
 {
     const Value *v = find(key);
-    panic_if(!v, "json: object has no member '%s'", key.c_str());
+    panic_if(!v, "json: object has no member '%.*s'", int(key.size()),
+             key.data());
     return *v;
 }
 
 size_t
 Value::size() const
 {
-    switch (kind_) {
-      case Kind::Array: return std::get<Array>(data_).size();
-      case Kind::Object: return std::get<Members>(data_).size();
-      default: panic("json: value has no size");
-    }
+    panic_if(kind_ != Kind::Array && kind_ != Kind::Object,
+             "json: value has no size");
+    return size_;
 }
 
 void
 Value::reserve(size_t n)
 {
-    switch (kind_) {
-      case Kind::Array: std::get<Array>(data_).reserve(n); break;
-      case Kind::Object: std::get<Members>(data_).reserve(n); break;
-      default: panic("json: only arrays and objects reserve room");
-    }
+    panic_if(kind_ != Kind::Array && kind_ != Kind::Object,
+             "json: only arrays and objects reserve room");
+    if (n > cap_)
+        grow(n);
 }
 
-namespace {
+void
+Value::grow(size_t n)
+{
+    size_t want = std::max({n, 2 * size_t(cap_), size_t(4)});
+    panic_if(want > UINT32_MAX, "json: container too large");
+    size_t each = kind_ == Kind::Array ? sizeof(Value) : sizeof(Member);
+    void *old = kind_ == Kind::Array ? static_cast<void *>(items_)
+                                     : static_cast<void *>(members_);
+    void *p = home()->extend(old, cap_ * each, size_ * each, want * each);
+    if (kind_ == Kind::Array)
+        items_ = static_cast<Value *>(p);
+    else
+        members_ = static_cast<Member *>(p);
+    cap_ = uint32_t(want);
+}
+
+namespace detail {
 
 /**
  * Serializes a document into one growable buffer. Every item, member
  * and scalar makes one capacity check for the most bytes it can take
  * (a string as if each byte needed a \u escape), then writes through a
- * raw pointer.
+ * raw pointer. Member names are copied pre-rendered from their keys.
  */
 class Writer
 {
@@ -154,8 +650,6 @@ class Writer
   private:
     /// Longest scalar; "-2.2250738585072014e-308" is 24 bytes.
     static constexpr size_t maxScalar = 32;
-    /// Longest escape of one string byte: \u00XX.
-    static constexpr size_t maxEscape = 6;
 
     void
     reserve(size_t n)
@@ -200,58 +694,22 @@ class Writer
         p_ += n;
     }
 
-    static bool
-    needsEscape(char c)
-    {
-        return static_cast<unsigned char>(c) < 0x20 || c == '"' ||
-               c == '\\';
-    }
-
-    /** Takes at most 2 + maxEscape * s.size() bytes. */
-    void
-    escaped(const std::string &s)
-    {
-        static constexpr char hex[] = "0123456789abcdef";
-        put('"');
-        const char *c = s.data();
-        const char *end = c + s.size();
-        while (c != end) {
-            while (c != end && !needsEscape(*c))
-                *p_++ = *c++;
-            if (c == end)
-                break;
-            switch (*c) {
-              case '"': put("\\\"", 2); break;
-              case '\\': put("\\\\", 2); break;
-              case '\n': put("\\n", 2); break;
-              case '\r': put("\\r", 2); break;
-              case '\t': put("\\t", 2); break;
-              default:
-                put("\\u00", 4);
-                put(hex[static_cast<unsigned char>(*c) >> 4]);
-                put(hex[*c & 0xf]);
-            }
-            ++c;
-        }
-        put('"');
-    }
-
     /** Takes at most maxScalar bytes. */
     void
     number(const Value &v)
     {
         // Exact 64-bit integers print all their digits, no double detour.
-        switch (v.numRep()) {
+        switch (v.rep_) {
           case Value::NumRep::UInt64:
-            p_ = std::to_chars(p_, end_, v.asUInt64()).ptr;
+            p_ = std::to_chars(p_, end_, v.int_).ptr;
             return;
           case Value::NumRep::Int64:
-            p_ = std::to_chars(p_, end_, v.asInt64()).ptr;
+            p_ = std::to_chars(p_, end_, int64_t(v.int_)).ptr;
             return;
           case Value::NumRep::Double:
             break;
         }
-        double d = v.asNumber();
+        double d = v.num_;
         // JSON has no NaN/Inf; null is the conventional stand-in.
         if (!std::isfinite(d)) {
             put("null", 4);
@@ -272,12 +730,12 @@ class Writer
     void
     value(const Value &v, unsigned depth)
     {
-        switch (v.kind()) {
+        switch (v.kind_) {
           case Value::Kind::Null:
             put("null", 4);
             break;
           case Value::Kind::Bool:
-            if (v.asBool())
+            if (v.bool_)
                 put("true", 4);
             else
                 put("false", 5);
@@ -285,25 +743,22 @@ class Writer
           case Value::Kind::Number:
             number(v);
             break;
-          case Value::Kind::String: {
-            const std::string &s = v.asString();
-            reserve(2 + maxEscape * s.size());
-            escaped(s);
+          case Value::Kind::String:
+            reserve(2 + maxEscape * v.size_);
+            p_ = quote(p_, {v.str_, v.size_});
             break;
-          }
           case Value::Kind::Array: {
-            const auto &items = v.items();
-            if (items.empty()) {
+            if (!v.size_) {
                 put("[]", 2);
                 break;
             }
             put('[');
-            for (size_t i = 0; i < items.size(); ++i) {
+            for (uint32_t i = 0; i < v.size_; ++i) {
                 reserve(1 + lineRoom(depth + 1) + maxScalar);
                 if (i)
                     put(',');
                 newline(depth + 1);
-                value(items[i], depth + 1);
+                value(v.items_[i], depth + 1);
             }
             reserve(lineRoom(depth) + 1);
             newline(depth);
@@ -311,25 +766,21 @@ class Writer
             break;
           }
           case Value::Kind::Object: {
-            const auto &members = v.members();
-            if (members.empty()) {
+            if (!v.size_) {
                 put("{}", 2);
                 break;
             }
             put('{');
-            for (size_t i = 0; i < members.size(); ++i) {
-                const auto &[key, child] = members[i];
-                reserve(1 + lineRoom(depth + 1) + 2 +
-                        maxEscape * key.size() + 2 + maxScalar);
+            for (uint32_t i = 0; i < v.size_; ++i) {
+                const Member &m = v.members_[i];
+                // The rendered key ends in ": "; one line drops the space.
+                size_t keyBytes = m.key_->rendered - (indent_ ? 0 : 1);
+                reserve(1 + lineRoom(depth + 1) + keyBytes + maxScalar);
                 if (i)
                     put(',');
                 newline(depth + 1);
-                escaped(key);
-                if (indent_)
-                    put(": ", 2);
-                else
-                    put(':');
-                value(child, depth + 1);
+                put(m.key_->text(), keyBytes);
+                value(m.value_, depth + 1);
             }
             reserve(lineRoom(depth) + 1);
             newline(depth);
@@ -345,7 +796,10 @@ class Writer
     char *end_ = buf_.data(); ///< end of the capacity
 };
 
-/** Recursive-descent parser over a complete in-memory document. */
+/**
+ * Recursive-descent parser over a complete in-memory document. It
+ * builds each value in place, in the slot the document gives it.
+ */
 class Parser
 {
   public:
@@ -354,10 +808,11 @@ class Parser
     Value
     document()
     {
-        Value v = value();
+        Value doc;
+        value(doc);
         skipWs();
         fail_if(pos != s.size(), "trailing characters after document");
-        return v;
+        return doc;
     }
 
   private:
@@ -418,8 +873,8 @@ class Parser
             fail_if(pos >= s.size() || s[pos++] != *p, "invalid literal");
     }
 
-    Value
-    value()
+    void
+    value(Value &slot)
     {
         // Containers recurse back into value(); a hostile or corrupt
         // document of the form [[[[... would otherwise ride the call
@@ -427,59 +882,56 @@ class Parser
         fail_if(depth >= maxDepth, "nesting deeper than 256 levels");
         ++depth;
         skipWs();
-        Value v = [&] {
-            switch (peek()) {
-              case '{': return object();
-              case '[': return array();
-              case '"': return Value(string());
-              case 't': literal("true"); return Value(true);
-              case 'f': literal("false"); return Value(false);
-              case 'n': literal("null"); return Value(nullptr);
-              default: return number();
-            }
-        }();
+        switch (peek()) {
+          case '{': object(slot); break;
+          case '[': array(slot); break;
+          case '"': slot.assignString(string()); break;
+          case 't': literal("true"); slot = true; break;
+          case 'f': literal("false"); slot = false; break;
+          case 'n': literal("null"); slot = nullptr; break;
+          default: slot = number(); break;
+        }
         --depth;
-        return v;
     }
 
-    Value
-    object()
+    void
+    object(Value &obj)
     {
         expect('{', "expected '{'");
-        Value obj = Value::object();
+        obj = Value::object();
         skipWs();
         if (consume('}'))
-            return obj;
+            return;
         while (true) {
             skipWs();
             fail_if(peek() != '"', "expected object key");
-            std::string key = string();
+            Key key = obj.intern(string());
             skipWs();
             expect(':', "expected ':' after key");
-            obj.set(key, value());
+            value(obj.set(key, Value()));
             skipWs();
             if (consume(','))
                 continue;
             expect('}', "expected ',' or '}' in object");
-            return obj;
+            return;
         }
     }
 
-    Value
-    array()
+    void
+    array(Value &arr)
     {
         expect('[', "expected '['");
-        Value arr = Value::array();
+        arr = Value::array();
         skipWs();
         if (consume(']'))
-            return arr;
+            return;
         while (true) {
-            arr.push(value());
+            value(arr.push(Value()));
             skipWs();
             if (consume(','))
                 continue;
             expect(']', "expected ',' or ']' in array");
-            return arr;
+            return;
         }
     }
 
@@ -524,31 +976,36 @@ class Parser
         }
     }
 
-    std::string
+    /** The decoded string, valid until the next call. */
+    std::string_view
     string()
     {
         expect('"', "expected '\"'");
-        std::string out;
+        buf.clear();
         while (true) {
+            size_t run = pos;
+            while (run < s.size() && s[run] != '"' && s[run] != '\\' &&
+                   static_cast<unsigned char>(s[run]) >= 0x20)
+                ++run;
+            buf.append(s, pos, run - pos);
+            pos = run;
             fail_if(pos >= s.size(), "unterminated string");
             char c = s[pos++];
             if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
+                return buf;
+            if (c != '\\')
+                failAt(pos - 1, "raw control character in string");
             fail_if(pos >= s.size(), "unterminated escape");
             char e = s[pos++];
             switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
+              case '"': buf += '"'; break;
+              case '\\': buf += '\\'; break;
+              case '/': buf += '/'; break;
+              case 'b': buf += '\b'; break;
+              case 'f': buf += '\f'; break;
+              case 'n': buf += '\n'; break;
+              case 'r': buf += '\r'; break;
+              case 't': buf += '\t'; break;
               case 'u': {
                 size_t at = pos - 2;  // the backslash
                 unsigned code = hex4();
@@ -566,12 +1023,49 @@ class Parser
                         failAt(at, "lone high surrogate");
                     code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
                 }
-                appendUtf8(out, code);
+                appendUtf8(buf, code);
                 break;
               }
               default: fail("invalid escape character");
             }
         }
+    }
+
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+    /**
+     * RFC 8259's number grammar over [first, last):
+     * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. Null if the token
+     * matches, else what is wrong with it.
+     */
+    static const char *
+    numberError(const char *p, const char *last)
+    {
+        auto digits = [&] {
+            const char *from = p;
+            while (p != last && isDigit(*p))
+                ++p;
+            return p != from;
+        };
+        if (p != last && *p == '-')
+            ++p;
+        if (p != last && *p == '0' && p + 1 != last && isDigit(p[1]))
+            return "leading zero in number";
+        if (!digits())
+            return "malformed number";
+        if (p != last && *p == '.') {
+            ++p;
+            if (!digits())
+                return "malformed number";
+        }
+        if (p != last && (*p == 'e' || *p == 'E')) {
+            ++p;
+            if (p != last && (*p == '+' || *p == '-'))
+                ++p;
+            if (!digits())
+                return "malformed number";
+        }
+        return p == last ? nullptr : "malformed number";
     }
 
     Value
@@ -581,9 +1075,8 @@ class Parser
         bool negative = consume('-');
         bool integral = true;
         while (pos < s.size() &&
-               ((s[pos] >= '0' && s[pos] <= '9') || s[pos] == '.' ||
-                s[pos] == 'e' || s[pos] == 'E' || s[pos] == '+' ||
-                s[pos] == '-')) {
+               (isDigit(s[pos]) || s[pos] == '.' || s[pos] == 'e' ||
+                s[pos] == 'E' || s[pos] == '+' || s[pos] == '-')) {
             if (s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E')
                 integral = false;
             ++pos;
@@ -591,6 +1084,8 @@ class Parser
         fail_if(pos == start, "expected a value");
         const char *first = s.data() + start;
         const char *last = s.data() + pos;
+        if (const char *error = numberError(first, last))
+            failAt(start, error);
         if (integral) {
             // Restore an integer literal exactly; only a literal that
             // overflows 64 bits falls back to the double path below.
@@ -608,28 +1103,29 @@ class Parser
         }
         double d = 0;
         auto res = std::from_chars(first, last, d);
-        fail_if(res.ec != std::errc() || res.ptr != last,
-                "malformed number");
+        if (res.ec != std::errc() || res.ptr != last)
+            failAt(start, "malformed number");
         return Value(d);
     }
 
     const std::string &s;
     size_t pos = 0;
     size_t depth = 0; ///< current container nesting inside value()
+    std::string buf;  ///< the string being decoded
 };
 
-} // namespace
+} // namespace detail
 
 std::string
 write(const Value &v, unsigned indent)
 {
-    return Writer(indent).document(v);
+    return detail::Writer(indent).document(v);
 }
 
 Value
 parse(const std::string &text)
 {
-    return Parser(text).document();
+    return detail::Parser(text).document();
 }
 
 } // namespace dlp::json

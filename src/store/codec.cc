@@ -101,15 +101,19 @@ snapshotFromJson(const json::Value &v)
 {
     GroupSnapshot g;
     g.name = v.at("name").asString();
-    for (const auto &[n, s] : v.at("scalars").members())
-        g.scalars[n] = s.asNumber();
-    for (const auto &[n, f] : v.at("formulas").members())
-        g.formulas[n] = f.asNumber();
-    for (const auto &[n, d] : v.at("distributions").members())
-        g.distributions.emplace(n, distFromJson(n, d));
-    for (const auto &[n, arr] : v.at("vectors").members()) {
-        VectorStat vec(n, arr.items().size());
-        for (size_t i = 0; i < arr.items().size(); ++i)
+    for (const auto &m : v.at("scalars").members())
+        g.scalars[std::string(m.key())] = m.value().asNumber();
+    for (const auto &m : v.at("formulas").members())
+        g.formulas[std::string(m.key())] = m.value().asNumber();
+    for (const auto &m : v.at("distributions").members()) {
+        std::string n(m.key());
+        g.distributions.emplace(n, distFromJson(n, m.value()));
+    }
+    for (const auto &m : v.at("vectors").members()) {
+        const json::Value &arr = m.value();
+        std::string n(m.key());
+        VectorStat vec(n, arr.size());
+        for (size_t i = 0; i < arr.size(); ++i)
             vec.set(i, arr.at(i).asNumber());
         g.vectors.emplace(n, std::move(vec));
     }
@@ -150,7 +154,7 @@ timeseriesFromJson(const json::Value &v)
     obs::TimeSeries ts;
     ts.intervalTicks = asU64(v.at("intervalTicks"));
     for (const auto &n : v.at("statNames").items())
-        ts.statNames.push_back(n.asString());
+        ts.statNames.emplace_back(n.asString());
     for (const auto &b : v.at("isLevel").items())
         ts.isLevel.push_back(b.asBool());
     for (const auto &t : v.at("ticks").items())

@@ -285,7 +285,7 @@ ResultStore::stats()
             continue;
         try {
             json::Value v = json::parse(line);
-            byKey[v.at("key").asString()] =
+            byKey[std::string(v.at("key").asString())] =
                 static_cast<uint64_t>(v.at("bytes").asNumber());
         } catch (const std::exception &) {
             continue;

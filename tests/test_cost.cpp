@@ -398,7 +398,7 @@ TEST(CostCodec, ExportedCostKeysKeepTheirOrder)
     json::Value doc = analysis::toJson(arch::ExperimentResult{});
     std::vector<std::string> keys;
     for (const auto &member : doc.at("cost").members())
-        keys.push_back(member.first);
+        keys.emplace_back(member.key());
     const std::vector<std::string> expected = {
         "analyzed",          "mimd",
         "unroll",            "perActivationRemap",

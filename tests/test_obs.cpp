@@ -248,7 +248,7 @@ TEST(TimelineExport, ChromeSchemaRoundTrip)
     { obs::HostSpan h(obs::Cat::Driver, "schema.host"); }
     obs::setRecording(false);
 
-    std::set<std::string> knownCats;
+    std::set<std::string, std::less<>> knownCats;
     for (unsigned i = 0; i < obs::numCats; ++i)
         knownCats.insert(obs::catName(static_cast<obs::Cat>(i)));
 
@@ -258,12 +258,12 @@ TEST(TimelineExport, ChromeSchemaRoundTrip)
     bool sawSpan = false, sawInstant = false, sawCounter = false;
     std::set<int> metadataPids;
     for (const auto &ev : doc.at("traceEvents").items()) {
-        const std::string ph = ev.at("ph").asString();
+        const std::string_view ph = ev.at("ph").asString();
         const double pid = ev.at("pid").asNumber();
         EXPECT_TRUE(pid == 1.0 || pid == 2.0);
         EXPECT_GE(ev.at("tid").asNumber(), 0.0);
         if (ph == "M") {
-            const std::string &what = ev.at("name").asString();
+            const std::string_view what = ev.at("name").asString();
             EXPECT_TRUE(what == "process_name" || what == "thread_name");
             EXPECT_FALSE(ev.at("args").at("name").asString().empty());
             metadataPids.insert(static_cast<int>(pid));

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -24,6 +25,18 @@
 using namespace dlp;
 
 namespace {
+
+/** The FatalError message parsing `text` raises, or "parsed". */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        json::parse(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "parsed";
+}
 
 /** RAII: leave the global trace state clean for the next test. */
 struct TraceReset
@@ -386,7 +399,7 @@ TEST(Json, StableKeyOrder)
 
 // A tripwire for the DOM's layout: every exported request, bucket and
 // counter is one Value, so its size sets the export's memory traffic.
-static_assert(sizeof(json::Value) <= 56, "json::Value grew past 56 bytes");
+static_assert(sizeof(json::Value) <= 32, "json::Value grew past 32 bytes");
 
 TEST(Json, WriterByteExact)
 {
@@ -518,29 +531,21 @@ TEST(Json, SurrogatePairDecodesToOneCodePoint)
 
 TEST(Json, LoneSurrogateIsAParseError)
 {
-    auto message = [](const std::string &text) -> std::string {
-        try {
-            json::parse(text);
-        } catch (const FatalError &e) {
-            return e.what();
-        }
-        return "parsed";
-    };
     // A high half with no low half after it, in every way that can
     // happen, and a low half on its own; the error names the offset of
     // the offending escape.
-    EXPECT_NE(message("\"x\\ud83d\"").find("offset 2: lone high surrogate"),
-              std::string::npos) << message("\"x\\ud83d\"");
-    EXPECT_NE(message("\"\\ud83dx\"").find("offset 1: lone high surrogate"),
+    EXPECT_NE(parseError("\"x\\ud83d\"").find("offset 2: lone high surrogate"),
+              std::string::npos) << parseError("\"x\\ud83d\"");
+    EXPECT_NE(parseError("\"\\ud83dx\"").find("offset 1: lone high surrogate"),
               std::string::npos);
-    EXPECT_NE(message("\"\\ud83d\\u0041\"")
+    EXPECT_NE(parseError("\"\\ud83d\\u0041\"")
                   .find("offset 1: lone high surrogate"),
               std::string::npos);
-    EXPECT_NE(message("\"\\ud83d\\ud83d\"")
+    EXPECT_NE(parseError("\"\\ud83d\\ud83d\"")
                   .find("offset 1: lone high surrogate"),
               std::string::npos);
-    EXPECT_NE(message("\"ab\\ude00\"").find("offset 3: lone low surrogate"),
-              std::string::npos) << message("\"ab\\ude00\"");
+    EXPECT_NE(parseError("\"ab\\ude00\"").find("offset 3: lone low surrogate"),
+              std::string::npos) << parseError("\"ab\\ude00\"");
 }
 
 TEST(Json, ParseErrors)
@@ -552,6 +557,172 @@ TEST(Json, ParseErrors)
     EXPECT_THROW(json::parse("12 34"), FatalError);
     EXPECT_THROW(json::parse("\"unterminated"), FatalError);
     EXPECT_THROW(json::Value::object().at("nope"), PanicError);
+}
+
+TEST(Json, LeadingZeroIsAParseError)
+{
+    // RFC 8259 allows no leading zero; the error names where the
+    // number starts.
+    EXPECT_NE(parseError("01").find("offset 0: leading zero"),
+              std::string::npos) << parseError("01");
+    EXPECT_NE(parseError("-007").find("offset 0: leading zero"),
+              std::string::npos) << parseError("-007");
+    EXPECT_NE(parseError("[00]").find("offset 1: leading zero"),
+              std::string::npos) << parseError("[00]");
+    // A malformed number reports its start, not where scanning ended.
+    EXPECT_NE(parseError("+1").find("offset 0: "), std::string::npos)
+        << parseError("+1");
+    EXPECT_NE(parseError("1-2").find("offset 0: malformed number"),
+              std::string::npos) << parseError("1-2");
+    EXPECT_NE(parseError("[1, 2e]").find("offset 4: malformed number"),
+              std::string::npos) << parseError("[1, 2e]");
+    EXPECT_NE(parseError("1.").find("offset 0: malformed number"),
+              std::string::npos) << parseError("1.");
+    EXPECT_NE(parseError("-").find("offset 0: malformed number"),
+              std::string::npos) << parseError("-");
+    // A lone zero, with a sign, fraction or exponent, still parses.
+    EXPECT_EQ(json::parse("0").asUInt64(), 0u);
+    EXPECT_EQ(json::parse("-0").asInt64(), 0);
+    EXPECT_DOUBLE_EQ(json::parse("0.5").asNumber(), 0.5);
+    EXPECT_DOUBLE_EQ(json::parse("0e1").asNumber(), 0.0);
+    EXPECT_DOUBLE_EQ(json::parse("-0.25E+2").asNumber(), -25.0);
+}
+
+TEST(Json, RawControlByteInStringIsAParseError)
+{
+    EXPECT_NE(parseError("\"a\tb\"").find("offset 2: raw control character"),
+              std::string::npos) << parseError("\"a\tb\"");
+    EXPECT_NE(parseError("[\"\x01\"]").find("offset 2: raw control character"),
+              std::string::npos);
+    EXPECT_NE(parseError(std::string("{\"k\0\":1}", 7))
+                  .find("offset 3: raw control character"),
+              std::string::npos);
+    // Escaped, the same bytes are fine; DEL and UTF-8 need no escape.
+    EXPECT_EQ(json::parse("\"a\\tb\\u0001\"").asString(), "a\tb\x01");
+    EXPECT_EQ(json::parse("\"\x7f\xc3\xa9\"").asString(), "\x7f\xc3\xa9");
+}
+
+TEST(Json, StandaloneValuesSpliceIntoTheirParents)
+{
+    // Children built standalone, each in its own arena, then moved into
+    // a parent by push and by set; the parent then moves on into a
+    // third document, and every source is gone before the write.
+    json::Value third = json::Value::object();
+    {
+        json::Value parent = json::Value::object();
+        json::Value list = json::Value::array();
+        json::Value point = json::Value::object();
+        point.set("x", 1);
+        point.set("label", std::string(100, 'p'));
+        list.push(std::move(point));
+        list.push("standalone string");
+        parent.set("list", std::move(list));
+        EXPECT_TRUE(list.isNull());  // a moved-from root is empty
+
+        json::Value nested = json::Value::object();
+        json::Value &deep = nested.set("deep", json::Value::array());
+        deep.push(-1);
+        parent.set("nested", std::move(nested));
+        third.set("first", 0);
+        third.set("parent", std::move(parent));
+        // Splicing moves no storage: the slot is where it was, and it
+        // now grows in the third document's arena.
+        for (int i = 0; i < 100; ++i)
+            deep.push(i);
+    }
+    json::Value &added = third.set("late", json::Value::object());
+    added.set("y", 2.5);
+    std::string expect = "{\"first\":0,\"parent\":{\"list\":[{\"x\":1,"
+                         "\"label\":\"";
+    expect.append(100, 'p');
+    expect += "\"},\"standalone string\"],\"nested\":{\"deep\":[-1";
+    for (int i = 0; i < 100; ++i) {
+        expect += ',';
+        expect += std::to_string(i);
+    }
+    expect += "]}},\"late\":{\"y\":2.5}}";
+    EXPECT_EQ(json::write(third, 0), expect);
+
+    // A document cannot be moved into itself.
+    json::Value self = json::Value::array();
+    json::Value &inner = self.push(json::Value::array());
+    EXPECT_THROW(inner.push(std::move(self)), PanicError);
+}
+
+TEST(Json, SetOverwriteKeepsFirstPosition)
+{
+    json::Value doc = json::Value::object();
+    doc.set("a", 1);
+    doc.set("b", 2);
+    // Overwrite through an interned key, through a plain name, and
+    // with a container whose arena is spliced in.
+    json::Key a = doc.intern("a");
+    doc.set(a, 10);
+    json::Value inner = json::Value::object();
+    inner.set("k", true);
+    doc.set("b", std::move(inner));
+    doc.set("c", 3);
+    EXPECT_EQ(json::write(doc, 0), "{\"a\":10,\"b\":{\"k\":true},\"c\":3}");
+
+    // A member first set in a standalone child's arena, then overwritten
+    // by a key of the parent's table, matches by name.
+    json::Value parent = json::Value::array();
+    json::Value child = json::Value::object();
+    child.set("same", 1);
+    child.set("other", 2);
+    json::Value &slot = parent.push(std::move(child));
+    slot.set(parent.intern("same"), 5);
+    EXPECT_EQ(slot.size(), 2u);
+    EXPECT_EQ(json::write(parent, 0), "[{\"same\":5,\"other\":2}]");
+
+    // A key interned in another document is re-interned, not shared.
+    json::Value other = json::Value::object();
+    json::Value target = json::Value::object();
+    {
+        json::Value donor = json::Value::object();
+        target.set(donor.intern("from donor"), 1);
+        target.set(donor.intern("same"), 2);
+    }
+    target.set("same", 3);
+    EXPECT_EQ(json::write(target, 0), "{\"from donor\":1,\"same\":3}");
+}
+
+TEST(Json, CopyOutlivesItsSource)
+{
+    json::Value copy;
+    json::Value slotCopy;
+    {
+        json::Value source = json::Value::object();
+        source.set("name", "mesh \"east\" link");
+        json::Value &list = source.set("list", json::Value::array());
+        for (int i = 0; i < 5; ++i)
+            list.push(i * 0.5);
+        copy = source;
+        // Moving from a slot copies it: the slot's storage stays with
+        // its document.
+        slotCopy = std::move(list);
+        source.set("name", "changed");
+        EXPECT_EQ(source.at("list").size(), 5u);
+    }
+    EXPECT_EQ(json::write(copy, 0),
+              "{\"name\":\"mesh \\\"east\\\" link\",\"list\":[0,0.5,1,1.5,2]}");
+    EXPECT_EQ(json::write(slotCopy, 0), "[0,0.5,1,1.5,2]");
+    json::Value again(copy);
+    copy = json::Value();
+    EXPECT_EQ(again.at("name").asString(), "mesh \"east\" link");
+}
+
+TEST(Json, ParseWriteReproducesGoldens)
+{
+    for (const char *name : {"golden_serve_quick.json",
+                             "golden_figure5_quick.json"}) {
+        std::ifstream in(std::string(DLP_SOURCE_DIR) + "/ci/" + name,
+                         std::ios::binary);
+        ASSERT_TRUE(in) << name;
+        std::stringstream text;
+        text << in.rdbuf();
+        EXPECT_EQ(json::write(json::parse(text.str())), text.str()) << name;
+    }
 }
 
 TEST(Exporter, ExperimentResultDocumentShape)
@@ -571,7 +742,7 @@ TEST(Exporter, ExperimentResultDocumentShape)
     ASSERT_EQ(groups.size(), 4u);
     bool meshUtil = false, smcConflicts = false, operandWait = false;
     for (const auto &g : groups.items()) {
-        const std::string &name = g.at("name").asString();
+        const std::string_view name = g.at("name").asString();
         if (name == "noc.mesh")
             meshUtil = g.at("distributions").has("linkUtilization");
         if (name == "mem.smc")
