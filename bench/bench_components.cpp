@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <vector>
 
 #include "analysis/export.hh"
@@ -45,6 +47,36 @@ BM_MeshRoute(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MeshRoute);
+
+static void
+BM_MeshRoutePath(benchmark::State &state)
+{
+    // BM_MeshRoute's random pairs, drawn up front as a tape with each
+    // pair's XY path prebuilt, the way BlockEngine routes operands.
+    noc::MeshNetwork mesh(8, 8);
+    Rng rng(1);
+    struct Leg
+    {
+        noc::Coord src, dst;
+        uint32_t path;
+    };
+    std::vector<Leg> tape(4096);
+    std::vector<noc::LinkId> links;
+    for (Leg &leg : tape) {
+        leg.src = {uint8_t(rng.below(8)), uint8_t(rng.below(8))};
+        leg.dst = {uint8_t(rng.below(8)), uint8_t(rng.below(8))};
+        leg.path = uint32_t(links.size());
+        mesh.appendPath(leg.src, leg.dst, links);
+    }
+    Tick t = 0;
+    size_t i = 0;
+    for (auto _ : state) {
+        const Leg &leg = tape[i++ & (tape.size() - 1)];
+        benchmark::DoNotOptimize(
+            mesh.route(leg.src, leg.dst, links.data() + leg.path, t++));
+    }
+}
+BENCHMARK(BM_MeshRoutePath);
 
 static void
 BM_ResourceAcquireInOrder(benchmark::State &state)
@@ -209,6 +241,30 @@ BM_ResourceAcquirePipelined(benchmark::State &state)
 BENCHMARK(BM_ResourceAcquirePipelined);
 
 static void
+BM_ResourceAcquireOneTickScan(benchmark::State &state)
+{
+    // One-tick grants out of order: of each activation's 8 requests the
+    // first lands past the others, so the other 7 fall behind the tail
+    // run and search the bitmap for their idle tick. The floor rises 12
+    // ticks per activation, as in BM_ResourceAcquirePipelined.
+    sim::Resource res(1);
+    Tick floor = 0;
+    res.bindFloor(&floor);
+    std::vector<Tick> tape(4096);
+    Rng rng(8);
+    for (size_t i = 0; i < tape.size(); ++i)
+        tape[i] = i % 8 == 0 ? 64 + rng.below(8) : rng.below(64);
+    size_t i = 0;
+    for (auto _ : state) {
+        if (i % 8 == 0)
+            floor += 12;
+        benchmark::DoNotOptimize(
+            res.acquire(floor + tape[i++ & (tape.size() - 1)]));
+    }
+}
+BENCHMARK(BM_ResourceAcquireOneTickScan);
+
+static void
 BM_InterpretRijndael(benchmark::State &state)
 {
     auto k = kernels::makeRijndael();
@@ -332,4 +388,19 @@ BM_PiFractionWords(benchmark::State &state)
 }
 BENCHMARK(BM_PiFractionWords)->Arg(18 + 4 * 256)->Unit(benchmark::kMillisecond);
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // perfbench's allocator settings: keep freed memory in the process,
+    // so the JSON benchmarks time JSON code rather than the page faults
+    // of mapping and trimming their multi-megabyte buffers each time.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
+    mallopt(M_TOP_PAD, 64 << 20);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

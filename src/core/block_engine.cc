@@ -71,6 +71,7 @@ BlockEngine::BlockEngine(const MachineParams &params,
                                         double(m.tiles()), 16);
     operandWait = &engStats.distribution("operandWaitTicks", 0.0, 128.0,
                                          16);
+    engStats.setPreDump([this] { foldWaits(); });
     activationsStat = &engStats.scalar("activations");
     revitalizesStat = &engStats.scalar("revitalizes");
     signatureRepeatsStat = &engStats.scalar("signatureRepeats");
@@ -91,6 +92,17 @@ BlockEngine::BlockEngine(const MachineParams &params,
                      [this] { return double(eq.pending()); });
     engStats.formula("eventsDiscarded",
                      [this] { return double(eq.discardedEvents()); });
+}
+
+void
+BlockEngine::foldWaits()
+{
+    for (size_t v = 0; v < smallWaits.size(); ++v) {
+        if (smallWaits[v]) {
+            operandWait->sample(double(v), smallWaits[v]);
+            smallWaits[v] = 0;
+        }
+    }
 }
 
 void
@@ -169,6 +181,10 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
     uint64_t groups = divCeil(numRecords, plan.unroll);
     stats.groups = groups;
 
+    planPaths.resize(plan.segments.size());
+    for (size_t i = 0; i < plan.segments.size(); ++i)
+        buildPaths(plan.segments[i].block, planPaths[i]);
+
     // Successive activations pipeline: a new activation begins once the
     // previous one's instructions have all *issued* (their reservation
     // stations are free for revitalized re-use -- the S-morph maps
@@ -188,10 +204,11 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
     // without instruction revitalization -- and ordered after this
     // activation's register-write commits (true dependences: loop
     // carries, cross-block temporaries).
-    auto paceActivation = [&](const isa::MappedBlock &block, bool first,
+    auto paceActivation = [&](const BlockPaths &paths, bool first,
                               Tick gapTicks) {
+        const isa::MappedBlock &block = *paths.block;
         snapshotGrants();
-        runActivation(block, nextStart, first, stats);
+        runActivation(paths, nextStart, first, stats);
         drain = std::max(drain, actMaxTick);
         Tick ii = std::max(busySinceSnapshot(), gapTicks);
         Tick prev = nextStart;
@@ -357,7 +374,7 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
         };
         auto runUnit = [&](uint64_t act) {
             setCtx(act);
-            paceActivation(seg.block, false, gap);
+            paceActivation(planPaths[0], false, gap);
         };
 
         uint64_t a = 0;
@@ -378,7 +395,7 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
             }
             // The sequencer owns the record-group pointer.
             setCtx(a);
-            paceActivation(seg.block, first, gap);
+            paceActivation(planPaths[0], first, gap);
             ++a;
         }
     } else {
@@ -411,7 +428,8 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
         auto runUnit = [&](uint64_t grp) {
             setCtx(grp);
             obs::SignatureHash groupHash;
-            for (const auto &seg : plan.segments) {
+            for (size_t si = 0; si < plan.segments.size(); ++si) {
+                const auto &seg = plan.segments[si];
                 Tick mapTicks =
                     cyclesToTicks(divCeil(seg.block.insts.size(),
                                           m.mapBandwidth) +
@@ -430,7 +448,7 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
                         stats.mappings++;
                         first = true;
                     }
-                    paceActivation(seg.block, first, gap);
+                    paceActivation(planPaths[si], first, gap);
                     groupHash.add(lastSignature);
                 }
             }
@@ -462,9 +480,27 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
 }
 
 void
-BlockEngine::runActivation(const MappedBlock &block, Tick startTick,
+BlockEngine::buildPaths(const MappedBlock &block, BlockPaths &paths) const
+{
+    paths.block = &block;
+    paths.first.clear();
+    paths.routes.clear();
+    paths.links.clear();
+    for (const auto &mi : block.insts) {
+        paths.first.push_back(uint32_t(paths.routes.size()));
+        for (const auto &t : mi.targets) {
+            noc::Coord to = tileOf(block.insts[t.inst]);
+            paths.routes.push_back({uint32_t(paths.links.size()), to});
+            mesh.appendPath(tileOf(mi), to, paths.links);
+        }
+    }
+}
+
+void
+BlockEngine::runActivation(const BlockPaths &paths, Tick startTick,
                            bool firstActivation, RunStats &stats)
 {
+    const MappedBlock &block = *paths.block;
     // (Re)initialize per-instruction state.
     if (firstActivation) {
         state.assign(block.insts.size(), InstState{});
@@ -498,6 +534,7 @@ BlockEngine::runActivation(const MappedBlock &block, Tick startTick,
     eq.reset();
 
     curBlock = &block;
+    curPaths = &paths;
     curStats = &stats;
     seedTick = startTick;
     seedFresh = firstActivation;
@@ -599,8 +636,13 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
 
     // Operand-wait skew: how long the first-arriving operand sat in the
     // reservation station before the last one enabled the fire.
-    if (st.sawOperand && ready > st.firstOperand)
-        operandWait->sample(double(ready - st.firstOperand));
+    if (st.sawOperand && ready > st.firstOperand) {
+        Tick wait = ready - st.firstOperand;
+        if (wait < smallWaits.size())
+            ++smallWaits[wait];
+        else
+            operandWait->sample(double(wait));
+    }
     DPRINTF(Exec, "fire %s at %" PRIu64, isa::disasm(mi).c_str(), ready);
     OBS_SIM_INSTANT(Exec, "fire", ready, idx);
 
@@ -622,7 +664,7 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
     noc::Coord here = tileOf(mi);
     unsigned row = mi.row;
     Tick done;
-    st.result.assign(1, Word(0));
+    Word result = 0;
 
     switch (mi.op) {
       case Op::Read: {
@@ -630,7 +672,7 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
         Tick grant = regRead[bank].acquire(ready);
         actMaxIssue = std::max(actMaxIssue, grant);
         done = grant + cyclesToTicks(m.regLatency) + m.hopTicks;
-        st.result[0] = rf.at(static_cast<size_t>(mi.imm));
+        result = rf.at(static_cast<size_t>(mi.imm));
         break;
       }
       case Op::Write: {
@@ -654,30 +696,30 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
             if (m.mech.smc) {
                 // The response rides the row's streaming channel.
                 done = channelDeliver(row, 0, here, served);
-                st.result[0] = value;
+                result = value;
                 break;
             }
         } else {
             served = mem.cachedRead(row, a, atEdge, value);
         }
         done = mesh.routeFromEdge(row, here, served);
-        st.result[0] = value;
+        result = value;
         break;
       }
       case Op::Lmw: {
         Tick issue = issuePort(mi.row, mi.col).acquire(ready);
         actMaxIssue = std::max(actMaxIssue, issue);
         Tick atEdge = mesh.routeToEdge(here, issue + ticksPerCycle);
-        st.result.assign(mi.lmwCount, Word(0));
+        lmwWords.assign(mi.lmwCount, Word(0));
         Tick served = mem.streamRead(row, a, mi.lmwCount, atEdge,
-                                     st.result.data(), mi.lmwStride);
+                                     lmwWords.data(), mi.lmwStride);
         // Words fan out over the row's dedicated streaming channel
         // straight to the consumers.
         for (const auto &t : mi.targets) {
             const auto &dst = block.insts[t.inst];
             Tick arrive =
                 channelDeliver(row, t.wordIdx, tileOf(dst), served);
-            deliver(block, idx, t, st.result.at(t.wordIdx), arrive, stats);
+            deliver(t, lmwWords.at(t.wordIdx), arrive);
         }
         actMaxTick = std::max(actMaxTick, served);
         return;
@@ -692,7 +734,7 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
             done = mem.cachedWrite(row, a, b, atEdge);
         // Completion token: the lowering hangs memory-ordering edges off
         // stores whose region is also read within the block.
-        st.result[0] = b;
+        result = b;
         break;
       }
       case Op::Tld: {
@@ -713,7 +755,7 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
             Tick served = mem.cachedTiming(row, byteAddr, atEdge, false);
             done = mesh.routeFromEdge(row, here, served);
         }
-        st.result[0] = value;
+        result = value;
         break;
       }
       default: {
@@ -725,22 +767,25 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
         }
         actMaxIssue = std::max(actMaxIssue, issue);
         done = issue + cyclesToTicks(info.latency);
-        st.result[0] = isa::evalOp(mi.op, a, b, c, mi.imm);
+        result = isa::evalOp(mi.op, a, b, c, mi.imm);
         break;
       }
     }
 
     actMaxTick = std::max(actMaxTick, done);
 
-    // Serialize operand injection at the producer, then route each copy.
+    // Serialize operand injection at the producer, then route each copy
+    // over its prebuilt path.
     sim::Resource &inject = injectPorts[mi.row * m.cols + mi.col];
+    const TargetRoute *r = curPaths->routes.data() + curPaths->first[idx];
     for (const auto &t : mi.targets) {
-        const auto &dst = block.insts[t.inst];
         Tick injT = inject.acquire(done);
-        Tick arrive = mesh.route(here, tileOf(dst), injT);
+        Tick arrive = mesh.route(here, r->to,
+                                 curPaths->links.data() + r->path, injT);
+        ++r;
         if (mi.regTile)
             arrive += m.hopTicks; // edge crossing from the register tile
-        deliver(block, idx, t, st.result[0], arrive, stats);
+        deliver(t, result, arrive);
     }
 }
 
@@ -754,20 +799,17 @@ BlockEngine::channelDeliver(unsigned row, uint8_t wordIdx, noc::Coord dst,
 }
 
 void
-BlockEngine::deliver(const MappedBlock &block, uint32_t producer,
-                     const isa::Target &target, Word value, Tick when,
-                     RunStats &stats)
+BlockEngine::deliver(const isa::Target &target, Word value, Tick when)
 {
-    (void)producer;
-    (void)block;
-    (void)stats;
     actMaxTick = std::max(actMaxTick, when);
     uint32_t idx = target.inst;
     uint8_t slot = target.srcSlot;
 
     // The capture must fit an InlineFn: this + payload words only. The
-    // activation context (block, stats) is reached through members.
-    eq.schedule(when, [this, idx, slot, value, when] {
+    // activation context (block, stats) is reached through members, and
+    // the arrival tick is the queue's clock when the event fires.
+    eq.schedule(when, [this, idx, slot, value] {
+        Tick arrive = eq.curTick();
         const MappedInst &mi = curBlock->insts[idx];
         InstState &st = state[idx];
         panic_if(slot >= mi.numSrcs,
@@ -777,7 +819,7 @@ BlockEngine::deliver(const MappedBlock &block, uint32_t producer,
         st.present[slot] = true;
         if (!st.fired && !st.sawOperand) {
             st.sawOperand = true;
-            st.firstOperand = when;
+            st.firstOperand = arrive;
         }
         if (st.fired)
             return;
@@ -786,7 +828,7 @@ BlockEngine::deliver(const MappedBlock &block, uint32_t producer,
         for (unsigned s = 0; s < mi.numSrcs; ++s)
             if (!st.present[s])
                 return;
-        execute(*curBlock, idx, when, *curStats);
+        execute(*curBlock, idx, arrive, *curStats);
     });
 }
 
@@ -798,8 +840,10 @@ BlockEngine::captureEpochSnapshot(epoch::Snapshot &s, const RunStats &stats)
         s.res[i] = {tracked[i]->grants(), tracked[i]->waitedTicks()};
 
     // Raw (pre-preDump) copies: derived stats recompute from these at
-    // dump time, so they need no deltas of their own. The mesh's short
-    // stalls are counted apart until folded into their distribution.
+    // dump time, so they need no deltas of their own. Short operand
+    // waits and the mesh's short stalls are counted apart until folded
+    // into their distributions.
+    foldWaits();
     mesh.foldStalls();
     s.groups.clear();
     StatGroup *groups[] = {&engStats, &mesh.statsGroup(),

@@ -19,6 +19,7 @@
 #ifndef DLP_CORE_BLOCK_ENGINE_HH
 #define DLP_CORE_BLOCK_ENGINE_HH
 
+#include <array>
 #include <vector>
 
 #include "common/stats.hh"
@@ -146,14 +147,37 @@ class BlockEngine
     struct InstState
     {
         Word operand[isa::maxSrcs] = {0, 0, 0};
+        Tick firstOperand = 0;    ///< arrival tick of the first operand
         bool present[isa::maxSrcs] = {false, false, false};
         bool fired = false;
-        Tick firstOperand = 0;    ///< arrival tick of the first operand
         bool sawOperand = false;  ///< firstOperand is valid
-        std::vector<Word> result; ///< result words (Lmw has several)
+    };
+    static_assert(sizeof(InstState) == 40, "InstState packs into 40 bytes");
+
+    /** Where one operand goes: the consumer's tile and its XY path. */
+    struct TargetRoute
+    {
+        uint32_t path; ///< offset of the path's first link in links
+        noc::Coord to;
     };
 
-    void runActivation(const isa::MappedBlock &block, Tick startTick,
+    /**
+     * The mesh routes of one plan block's operands, built once per run()
+     * (placement is static): instruction i's k-th target routes as
+     * routes[first[i] + k].
+     */
+    struct BlockPaths
+    {
+        const isa::MappedBlock *block = nullptr;
+        std::vector<uint32_t> first;
+        std::vector<TargetRoute> routes;
+        std::vector<noc::LinkId> links;
+    };
+
+    /** Build paths for block: every instruction's targets' XY paths. */
+    void buildPaths(const isa::MappedBlock &block, BlockPaths &paths) const;
+
+    void runActivation(const BlockPaths &paths, Tick startTick,
                        bool firstActivation, RunStats &stats);
 
     /// @name Epoch fast-forwarding internals.
@@ -201,10 +225,8 @@ class BlockEngine
     Tick channelDeliver(unsigned row, uint8_t wordIdx, noc::Coord dst,
                         Tick ready);
 
-    /** Deliver one result word to a consumer operand slot. */
-    void deliver(const isa::MappedBlock &block, uint32_t producer,
-                 const isa::Target &target, Word value, Tick when,
-                 RunStats &stats);
+    /** Deliver one result word to a consumer operand slot at when. */
+    void deliver(const isa::Target &target, Word value, Tick when);
 
     noc::Coord tileOf(const isa::MappedInst &mi) const
     {
@@ -244,8 +266,19 @@ class BlockEngine
     /** Max busy time any tracked resource accumulated since snapshot. */
     Tick busySinceSnapshot() const;
 
+    /**
+     * Fold the operand waits counted since the last call into the
+     * operandWaitTicks distribution (the group's pre-dump does this).
+     * The sums are integers below 2^53, so the result is bit-identical
+     * to sampling every wait as it happens.
+     */
+    void foldWaits();
+
     StatGroup engStats{"core.simd"};
     Distribution *operandWait = nullptr; ///< first-operand-to-fire ticks
+    /// Fires that waited v ticks, for v in the distribution's range,
+    /// not yet in operandWait.
+    std::array<uint64_t, 128> smallWaits{};
     Distribution *issueWidth = nullptr;  ///< insts/cycle per activation
     Stat *activationsStat = nullptr;
     Stat *revitalizesStat = nullptr;
@@ -273,6 +306,8 @@ class BlockEngine
     uint64_t ffExecutedOffset = 0;
 
     std::vector<InstState> state;
+    std::vector<Word> lmwWords;        ///< the words an Lmw reads
+    std::vector<BlockPaths> planPaths; ///< one per segment of the plan
 
     /**
      * Activation context for event callbacks. Events capture only
@@ -281,6 +316,7 @@ class BlockEngine
      * run stats accumulate -- live here instead of in every capture.
      */
     const isa::MappedBlock *curBlock = nullptr;
+    const BlockPaths *curPaths = nullptr;
     RunStats *curStats = nullptr;
     Tick seedTick = 0;          ///< start tick of the current activation
     bool seedFresh = false;     ///< current activation is a fresh mapping

@@ -21,6 +21,7 @@
 #include "check/graph.hh"
 #include "common/bitutils.hh"
 #include "isa/opcodes.hh"
+#include "noc/mesh.hh"
 
 namespace dlp::cost {
 
@@ -80,32 +81,20 @@ struct NetTally
     Pressure &pressure;
     uint64_t hops = 0;
 
-    /// Mesh route from (srow,scol) to (drow,dcol), X then Y, exactly as
-    /// MeshNetwork::route charges its directed links.
+    /// Mesh route from (srow,scol) to (drow,dcol), charged to the
+    /// directed links MeshNetwork::route takes, in its hop order.
     void
     route(unsigned srow, unsigned scol, unsigned drow, unsigned dcol)
     {
-        unsigned r = srow, c = scol;
-        while (c != dcol) {
-            if (c < dcol) {
-                pressure[key("link.east", r, c)] += 1;
-                ++c;
-            } else {
-                pressure[key("link.west", r, c)] += 1;
-                --c;
-            }
-            ++hops;
-        }
-        while (r != drow) {
-            if (r < drow) {
-                pressure[key("link.south", r, c)] += 1;
-                ++r;
-            } else {
-                pressure[key("link.north", r, c)] += 1;
-                --r;
-            }
-            ++hops;
-        }
+        static const char *const linkName[] = {"link.east", "link.west",
+                                               "link.south", "link.north"};
+        noc::forEachXYHop(
+            noc::Coord{uint8_t(srow), uint8_t(scol)},
+            noc::Coord{uint8_t(drow), uint8_t(dcol)},
+            [this](noc::Dir d, unsigned r, unsigned c) {
+                pressure[key(linkName[size_t(d)], r, c)] += 1;
+                ++hops;
+            });
     }
 
     void

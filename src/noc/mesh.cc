@@ -8,14 +8,26 @@ namespace dlp::noc {
 
 MeshNetwork::MeshNetwork(unsigned nrows, unsigned ncols, Tick hop)
     : rows(nrows), cols(ncols), hopTicks(hop),
-      east(static_cast<size_t>(nrows) * ncols, sim::Resource(1)),
-      west(static_cast<size_t>(nrows) * ncols, sim::Resource(1)),
-      south(static_cast<size_t>(nrows) * ncols, sim::Resource(1)),
-      north(static_cast<size_t>(nrows) * ncols, sim::Resource(1)),
-      edgeOut(nrows, sim::Resource(1)),
-      edgeIn(nrows, sim::Resource(1))
+      links(4 * size_t(nrows) * ncols + 2 * size_t(nrows), sim::Resource(1))
 {
     panic_if(rows == 0 || cols == 0, "degenerate mesh %ux%u", rows, cols);
+    panic_if(links.size() > size_t(LinkId(~0)) + 1,
+             "mesh %ux%u has more links than a LinkId can name", rows,
+             cols);
+    size_t tiles = size_t(rows) * cols;
+    auto at = [this](size_t t) {
+        return Coord{uint8_t(t / cols), uint8_t(t % cols)};
+    };
+    for (size_t t = 0; t < tiles; ++t) {
+        edgeStart.push_back(uint32_t(edgeLinks.size()));
+        appendToEdgePath(at(t), edgeLinks);
+    }
+    for (unsigned r = 0; r < rows; ++r) {
+        for (size_t t = 0; t < tiles; ++t) {
+            edgeStart.push_back(uint32_t(edgeLinks.size()));
+            appendFromEdgePath(r, at(t), edgeLinks);
+        }
+    }
     initStats();
 }
 
@@ -47,42 +59,32 @@ MeshNetwork::initStats()
         // Direction order: east, west, south, north, edgeOut, edgeIn.
         VectorStat &byDir = statGroup.vector("grantsByDirection", 6);
         byDir.reset();
-        const std::vector<sim::Resource> *sets[6] = {&east,    &west,
-                                                     &south,   &north,
-                                                     &edgeOut, &edgeIn};
-        for (unsigned d = 0; d < 6; ++d) {
-            for (const auto &link : *sets[d]) {
-                byDir.inc(d, double(link.grants()));
-                if (lastActivity > 0) {
-                    double busy = double(link.grants()) *
-                                  double(link.interval());
-                    util.sample(busy / double(lastActivity));
-                }
+        size_t tiles = size_t(rows) * cols;
+        for (size_t i = 0; i < links.size(); ++i) {
+            const sim::Resource &link = links[i];
+            unsigned d = i < 4 * tiles ? unsigned(i / tiles)
+                                       : 4 + unsigned((i - 4 * tiles) / rows);
+            byDir.inc(d, double(link.grants()));
+            if (lastActivity > 0) {
+                double busy = double(link.grants()) *
+                              double(link.interval());
+                util.sample(busy / double(lastActivity));
             }
         }
     });
 }
 
 Tick
-MeshNetwork::walkXY(Coord from, Coord to, Tick t)
+MeshNetwork::route(Coord src, Coord dst, Tick inject)
 {
-    size_t idx = static_cast<size_t>(from.row) * cols + from.col;
-    for (unsigned c = from.col; c < to.col; ++c)
-        t = hop(east[idx++], t);
-    for (unsigned c = from.col; c > to.col; --c)
-        t = hop(west[idx--], t);
-    for (unsigned r = from.row; r < to.row; ++r, idx += cols)
-        t = hop(south[idx], t);
-    for (unsigned r = from.row; r > to.row; --r, idx -= cols)
-        t = hop(north[idx], t);
-    return t;
+    scratchPath.clear();
+    appendPath(src, dst, scratchPath);
+    return route(src, dst, scratchPath.data(), inject);
 }
 
 Tick
-MeshNetwork::route(Coord src, Coord dst, Tick inject)
+MeshNetwork::route(Coord src, Coord dst, const LinkId *path, Tick inject)
 {
-    panic_if(src.row >= rows || src.col >= cols, "route from off-grid");
-    panic_if(dst.row >= rows || dst.col >= cols, "route to off-grid");
     ++routed;
 
     // Local bypass: the ALU result feeds its own reservation stations for
@@ -90,15 +92,15 @@ MeshNetwork::route(Coord src, Coord dst, Tick inject)
     if (src == dst)
         return inject;
 
-    Tick t = walkXY(src, dst, inject);
-    account(distance(src, dst), inject, t);
+    unsigned n = distance(src, dst);
+    Tick t = walk(path, n, inject);
+    account(n, inject, t);
     DPRINTF(Mesh,
             "route (%u,%u)->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64
             " stall=%" PRIu64,
             src.row, src.col, dst.row, dst.col, inject, t,
-            t - inject - Tick(distance(src, dst)) * hopTicks);
-    OBS_SIM_SPAN(Mesh, "flit", inject, t - inject,
-                 distance(src, dst));
+            t - inject - Tick(n) * hopTicks);
+    OBS_SIM_SPAN(Mesh, "flit", inject, t - inject, n);
     return t;
 }
 
@@ -108,9 +110,9 @@ MeshNetwork::routeToEdge(Coord src, Tick inject)
     panic_if(src.row >= rows || src.col >= cols, "edge route from off-grid");
     ++routed;
 
-    Tick t = walkXY(src, Coord{src.row, 0}, inject);
-    // Cross from column 0 into the row's memory port.
-    Tick arrive = hop(edgeOut[src.row], t);
+    // The walk ends by crossing from column 0 into the row's memory port.
+    size_t k = size_t(src.row) * cols + src.col;
+    Tick arrive = walk(&edgeLinks[edgeStart[k]], src.col + 1u, inject);
     account(src.col + 1u, inject, arrive);
     DPRINTF(Mesh,
             "toEdge (%u,%u) inject=%" PRIu64 " at-port=%" PRIu64,
@@ -126,10 +128,12 @@ MeshNetwork::routeFromEdge(unsigned row, Coord dst, Tick inject)
     panic_if(dst.row >= rows || dst.col >= cols, "edge route to off-grid");
     ++routed;
 
-    // Cross from the memory port into column 0 of the row.
-    Coord entry{static_cast<uint8_t>(row), 0};
-    Tick t = walkXY(entry, dst, hop(edgeIn[row], inject));
-    account(1 + distance(entry, dst), inject, t);
+    // The walk starts by crossing from the memory port into column 0.
+    size_t tiles = size_t(rows) * cols;
+    size_t k = tiles + row * tiles + size_t(dst.row) * cols + dst.col;
+    unsigned n = 1 + distance(Coord{uint8_t(row), 0}, dst);
+    Tick t = walk(&edgeLinks[edgeStart[k]], n, inject);
+    account(n, inject, t);
     DPRINTF(Mesh,
             "fromEdge row %u ->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64,
             row, dst.row, dst.col, inject, t);
@@ -151,9 +155,8 @@ MeshNetwork::foldStalls()
 void
 MeshNetwork::reset()
 {
-    for (auto *set : {&east, &west, &south, &north, &edgeOut, &edgeIn})
-        for (auto &link : *set)
-            link.reset();
+    for (auto &link : links)
+        link.reset();
     routed = 0;
     hops = 0;
     contention = 0;

@@ -14,6 +14,15 @@
  *
  * Each row additionally has a memory port on its west edge (column 0 side)
  * through which loads, stores and register traffic leave the array.
+ *
+ * The links live in one flat array: the east, west, south and north
+ * links of every tile (each set indexed by source tile), then the
+ * per-row edgeOut and edgeIn links. A route is a path of link ids, and
+ * forEachXYHop() is the one place that knows the X-then-Y hop order:
+ * the mesh builds paths from it, and the static cost model charges its
+ * per-link demand from it. Placement is static, so BlockEngine builds
+ * each plan block's operand paths once per run and routes over them;
+ * the mesh keeps every tile's edge paths from construction.
  */
 
 #ifndef DLP_NOC_MESH_HH
@@ -44,6 +53,40 @@ struct Coord
     }
 };
 
+/** Link directions, in the order of the mesh's flat link array. */
+enum class Dir : uint8_t
+{
+    East,
+    West,
+    South,
+    North,
+    EdgeOut,
+    EdgeIn,
+};
+
+/**
+ * Visit the hops of the dimension-order route from tile `from` to tile
+ * `to`, X first then Y: fn(dir, row, col) once per hop, in order, with
+ * (row, col) the tile the hop leaves.
+ */
+template <typename Fn>
+void
+forEachXYHop(Coord from, Coord to, Fn &&fn)
+{
+    unsigned r = from.row, c = from.col;
+    for (; c < to.col; ++c)
+        fn(Dir::East, r, c);
+    for (; c > to.col; --c)
+        fn(Dir::West, r, c);
+    for (; r < to.row; ++r)
+        fn(Dir::South, r, c);
+    for (; r > to.row; --r)
+        fn(Dir::North, r, c);
+}
+
+/** Index of a link in a mesh's flat link array. */
+using LinkId = uint16_t;
+
 /** A 2-D mesh with per-link FCFS contention. */
 class MeshNetwork
 {
@@ -64,11 +107,58 @@ class MeshNetwork
     Tick route(Coord src, Coord dst, Tick inject);
 
     /**
+     * route() over a prebuilt path: `path` holds the distance(src, dst)
+     * link ids that appendPath(src, dst, ...) appends.
+     */
+    Tick route(Coord src, Coord dst, const LinkId *path, Tick inject);
+
+    /**
      * Route an operand from a tile to its row's west-edge memory port
      * (or back). One extra hop crosses from column 0 into the port.
      */
     Tick routeToEdge(Coord src, Tick inject);
     Tick routeFromEdge(unsigned row, Coord dst, Tick inject);
+
+    /** The link a hop in direction dir leaves tile (row, col) by; for
+     *  the edge links, col is ignored. */
+    LinkId
+    linkId(Dir dir, unsigned row, unsigned col) const
+    {
+        size_t tiles = size_t(rows) * cols;
+        size_t d = size_t(dir);
+        return LinkId(d < size_t(Dir::EdgeOut)
+                          ? d * tiles + row * cols + col
+                          : 4 * tiles + (d - size_t(Dir::EdgeOut)) * rows +
+                                row);
+    }
+
+    /** Append the link ids of the XY route from src to dst to out. */
+    void
+    appendPath(Coord src, Coord dst, std::vector<LinkId> &out) const
+    {
+        panic_if(src.row >= rows || src.col >= cols, "path from off-grid");
+        panic_if(dst.row >= rows || dst.col >= cols, "path to off-grid");
+        forEachXYHop(src, dst, [&](Dir d, unsigned r, unsigned c) {
+            out.push_back(linkId(d, r, c));
+        });
+    }
+
+    /** Append the link ids of routeToEdge(src) to out. */
+    void
+    appendToEdgePath(Coord src, std::vector<LinkId> &out) const
+    {
+        appendPath(src, Coord{src.row, 0}, out);
+        out.push_back(linkId(Dir::EdgeOut, src.row, 0));
+    }
+
+    /** Append the link ids of routeFromEdge(row, dst) to out. */
+    void
+    appendFromEdgePath(unsigned row, Coord dst,
+                       std::vector<LinkId> &out) const
+    {
+        out.push_back(linkId(Dir::EdgeIn, row, 0));
+        appendPath(Coord{uint8_t(row), 0}, dst, out);
+    }
 
     /** Manhattan distance in hops between two tiles. */
     unsigned
@@ -132,9 +222,8 @@ class MeshNetwork
     void
     forEachLink(Fn &&fn)
     {
-        for (auto *set : {&east, &west, &south, &north, &edgeOut, &edgeIn})
-            for (auto &link : *set)
-                fn(link);
+        for (auto &link : links)
+            fn(link);
     }
 
   private:
@@ -156,11 +245,14 @@ class MeshNetwork
         return grant + hopTicks;
     }
 
-    /**
-     * Walk from tile `from` to tile `to`, X first then Y, starting at
-     * tick t; the arrival tick.
-     */
-    Tick walkXY(Coord from, Coord to, Tick t);
+    /** Hop the n links of path in order from tick t; the arrival. */
+    Tick
+    walk(const LinkId *path, size_t n, Tick t)
+    {
+        for (size_t i = 0; i < n; ++i)
+            t = hop(links[path[i]], t);
+        return t;
+    }
 
     /** Count one route of n hops from inject to arrive. */
     void
@@ -175,14 +267,18 @@ class MeshNetwork
     unsigned cols;
     Tick hopTicks;
 
-    // Four unidirectional link sets indexed by source tile: E, W, S, N,
-    // plus the per-row edge links into/out of the memory ports.
-    std::vector<sim::Resource> east;
-    std::vector<sim::Resource> west;
-    std::vector<sim::Resource> south;
-    std::vector<sim::Resource> north;
-    std::vector<sim::Resource> edgeOut;
-    std::vector<sim::Resource> edgeIn;
+    /// Every link, in Dir order: four unidirectional sets indexed by
+    /// source tile (E, W, S, N), then the per-row edge links out of and
+    /// into the memory ports.
+    std::vector<sim::Resource> links;
+
+    /// Every tile's routeToEdge path, then every (row, tile) pair's
+    /// routeFromEdge path, back to back; edgeStart[k] is where path k
+    /// starts (tile k, then row * tiles + tile).
+    std::vector<LinkId> edgeLinks;
+    std::vector<uint32_t> edgeStart;
+    /// The path of a route() called without one.
+    std::vector<LinkId> scratchPath;
 
     uint64_t routed = 0;
     uint64_t hops = 0;

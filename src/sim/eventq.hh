@@ -225,6 +225,7 @@ class EventQueue
     };
     static_assert(std::is_trivially_copyable_v<Event>,
                   "event nodes must relocate with memcpy");
+    static_assert(sizeof(Event) == 48, "an event node is 48 bytes");
 
     /** Min-heap comparator over (when, seq). */
     struct EventLater

@@ -14,6 +14,10 @@
  * vectors and the overflow heap and be relocated with memcpy. Engine
  * callbacks capture a `this` pointer plus a few words of payload, all
  * of which qualify.
+ *
+ * The buffer is pointer-aligned, not max_align_t-aligned: captures are
+ * pointers and integers, and an 8-byte alignment keeps the event node
+ * (tick, sequence number, call pointer, buffer) at 48 bytes.
  */
 
 #ifndef DLP_SIM_INLINE_FN_HH
@@ -50,7 +54,7 @@ class InlineFnT
                       "capture too large for InlineFn -- shrink the "
                       "capture (capture members via this) rather than "
                       "falling back to the heap");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+        static_assert(alignof(Fn) <= alignof(void *),
                       "over-aligned capture in InlineFn");
         static_assert(std::is_trivially_copyable_v<Fn>,
                       "InlineFn captures must be trivially copyable "
@@ -67,15 +71,16 @@ class InlineFnT
 
   private:
     void (*call)(void *) = nullptr;
-    alignas(std::max_align_t) unsigned char buf[Capacity];
+    alignas(void *) unsigned char buf[Capacity];
 };
 
 /**
- * The event-kernel callable. 48 bytes holds a `this` pointer plus four
- * payload words -- comfortably more than the widest engine callback
- * (operand delivery: this + inst index + slot + value + arrival tick).
+ * The event-kernel callable. 24 bytes holds the widest engine callback,
+ * operand delivery: `this`, the consumer's index and operand slot, and
+ * the value. The arrival tick is not captured: the callback reads it
+ * from the queue's clock.
  */
-using InlineFn = InlineFnT<48>;
+using InlineFn = InlineFnT<24>;
 
 } // namespace dlp::sim
 

@@ -16,14 +16,21 @@
  * inline, more on the heap) whose word 0 starts at a base tick, one bit
  * per tick, busy when set. Ticks at or after `lastEnd`, the end of the
  * latest grant, are all idle. An acquire at or after `lastEnd` -- where
- * in-order traffic always lands -- just sets its bits. Instruction
- * revitalization starts activation a+1 before activation a drains, so
- * on the Figure-5/Table-4 grid 42% of acquires land before `lastEnd`
- * instead; they find their window with count-trailing-zeros scans of a
- * word or two. The busy run that ends at `lastEnd` -- a saturated
- * resource's queue -- starts at `tailStart`: a request inside it is
- * granted at `lastEnd` at once, and a scan that reaches it skips it
- * whole.
+ * in-order traffic always lands -- just sets its bits. The busy run that
+ * ends at `lastEnd` -- a saturated resource's queue -- starts at
+ * `tailStart`: a request inside it is granted at `lastEnd` at once. A
+ * one-unit acquire of either kind whose grant lies inside one ring word
+ * is handled inline in acquire(): one OR, no call.
+ *
+ * Instruction revitalization starts activation a+1 before activation a
+ * drains, so on the Figure-5/Table-4 grid 42% of acquires land before
+ * `tailStart` instead and scan for their window. A one-tick window is
+ * the first idle tick, one count-trailing-zeros scan (`firstFree`). A
+ * window of up to 64 ticks is found word-parallel: one shift-and-AND
+ * round per doubling of the run length marks every start in a word
+ * whose window is idle. Longer windows, and requests below the base,
+ * alternate `firstBusy` and `firstFree`. Every scan stops at
+ * `tailStart` and skips the tail run whole.
  *
  * The base moves forward, one word at a time, when a grant needs room
  * past the ring's end. It slides past a leading word that lies wholly
@@ -191,7 +198,7 @@ class SmallVec
 };
 
 /** A single-server FCFS resource with a fixed service interval. */
-class Resource
+class alignas(64) Resource
 {
   public:
     /**
@@ -210,6 +217,26 @@ class Resource
     Tick
     acquire(Tick earliest)
     {
+        if (earliest < *floor) [[unlikely]]
+            floorViolation(earliest, *floor);
+        // Inline grant: a request at or after tailStart is granted at
+        // max(earliest, lastEnd) without a scan, and when that interval
+        // lies inside one ring word it takes one OR into that word.
+        if (earliest >= tailStart) {
+            Tick grant = std::max(earliest, lastEnd);
+            Tick off = grant - base;
+            unsigned bit = unsigned(off % 64);
+            // off wraps past span() when grant is below the base.
+            if (off < span() && bit + serviceInterval <= 64) [[likely]] {
+                word(size_t(off / 64)) |= lowBits(serviceInterval) << bit;
+                ++totalGrants;
+                totalWait += grant - earliest;
+                if (grant > lastEnd)
+                    tailStart = grant;
+                lastEnd = grant + serviceInterval;
+                return grant;
+            }
+        }
         return acquireMany(earliest, 1);
     }
 
@@ -218,7 +245,7 @@ class Resource
      * intervals (e.g. a wide load occupying a bank port for several
      * ticks). @return the tick of the first grant.
      */
-    Tick
+    [[gnu::noinline]] Tick
     acquireMany(Tick earliest, uint64_t units)
     {
         if (earliest < *floor) [[unlikely]]
@@ -465,15 +492,68 @@ class Resource
         return wordStart + Tick(std::countr_zero(bits));
     }
 
-    /** First start >= t of an idle window of length len. */
+    /** The low n bits set, for n from 1 to 64. */
+    static uint64_t
+    lowBits(Tick n)
+    {
+        return n >= 64 ? ~uint64_t(0) : (uint64_t(1) << n) - 1;
+    }
+
+    /**
+     * Bit i set iff the len ticks from bit i of the 128-tick idle mask
+     * lo:hi are all idle (len from 1 to 64). Each round doubles the run
+     * length a bit vouches for, capped at len: at most six rounds.
+     */
+    static uint64_t
+    windowStarts(uint64_t lo, uint64_t hi, Tick len)
+    {
+        for (Tick covered = 1; covered < len;) {
+            unsigned s = unsigned(std::min(covered, len - covered));
+            lo &= (lo >> s) | (hi << (64 - s));
+            hi &= hi >> s;
+            covered += s;
+        }
+        return lo;
+    }
+
+    /**
+     * First start >= t of an idle window of length len, for t below
+     * tailStart (acquireMany grants any later request directly).
+     */
     Tick
     freeWindow(Tick t, Tick len) const
     {
+        // One tick: the first idle tick is the window.
+        if (len <= 1)
+            return len ? firstFree(t) : t;
+        // Below the base or longer than a word: alternate the scans.
+        if (t < base || len > 64) {
+            for (;;) {
+                Tick hit = firstBusy(t, t + len);
+                if (hit == t + len)
+                    return t;
+                t = firstFree(hit);
+            }
+        }
+        // A short window: test every start in a word at once. The tail
+        // run is busy, so a window below it ends before tailStart, and
+        // past it the first window starts at lastEnd. The scan stops at
+        // the word holding tailStart, which lies inside the ring (below
+        // lastEnd), so a window reaching past the ring's end holds that
+        // busy tick: the wrapped word it reads as `hi` cannot matter.
+        Tick off = t - base;
+        size_t w = size_t(off / 64);
+        Tick wordStart = base + Tick(w) * 64;
+        uint64_t starts = ~uint64_t(0) << (off % 64);
         for (;;) {
-            Tick hit = firstBusy(t, t + len);
-            if (hit == t + len)
-                return t;
-            t = firstFree(hit);
+            uint64_t fit = windowStarts(~word(w), ~word(w + 1), len) & starts;
+            if (fit)
+                return wordStart + Tick(std::countr_zero(fit));
+            wordStart += 64;
+            if (wordStart >= tailStart)
+                return lastEnd;
+            ++w;
+            starts = ~uint64_t(0);
         }
     }
 
@@ -493,11 +573,15 @@ class Resource
         Tick off = start - base;
         size_t w = off / 64;
         unsigned bit = unsigned(off % 64);
-        for (Tick n = end - start; n > 0; bit = 0) {
+        Tick n = end - start;
+        // A run inside one word: one OR.
+        if (bit + n <= 64) {
+            word(w) |= lowBits(n) << bit;
+            return;
+        }
+        for (; n > 0; bit = 0) {
             Tick take = std::min<Tick>(64 - bit, n);
-            uint64_t ones = take == 64 ? ~uint64_t(0)
-                                       : (uint64_t(1) << take) - 1;
-            word(w++) |= ones << bit;
+            word(w++) |= lowBits(take) << bit;
             n -= take;
         }
     }
@@ -587,17 +671,19 @@ class Resource
 
     static constexpr Tick noFloor = 0;
 
+    // What an inline grant reads and writes comes first: one cache line
+    // of an aligned Resource, plus the ring's inline words in the next.
     Tick serviceInterval;
     const Tick *floor = &noFloor;
-    /// Occupancy bits, one per tick from base; a power-of-two ring.
-    SmallVec<uint64_t, inlineWords> ring;
     size_t head = 0;     ///< ring index of word 0
     Tick base = 0;       ///< first tick of word 0
-    Tick belowStart = 0; ///< [belowStart, base) is busy; == base if idle
     Tick tailStart = 0;  ///< [tailStart, lastEnd) is busy
     Tick lastEnd = 0;    ///< every tick from here on is idle
     uint64_t totalGrants = 0;
     Tick totalWait = 0;
+    /// Occupancy bits, one per tick from base; a power-of-two ring.
+    SmallVec<uint64_t, inlineWords> ring;
+    Tick belowStart = 0; ///< [belowStart, base) is busy; == base if idle
 };
 
 } // namespace dlp::sim

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/cache_model.hh"
 #include "mem/memory_system.hh"
 #include "noc/mesh.hh"
@@ -72,6 +75,98 @@ TEST(Mesh, CountsHopsAndOperands)
     mesh.route({0, 0}, {1, 1}, 0);
     EXPECT_EQ(mesh.operandsRouted(), 1u);
     EXPECT_EQ(mesh.totalHops(), 2u);
+}
+
+namespace {
+
+/**
+ * The link ids the mesh's original X-then-Y walk visited: it stepped
+ * one tile index through four per-direction link sets, which the flat
+ * link array lays out in the order east, west, south, north.
+ */
+std::vector<LinkId>
+fourLoopWalk(unsigned cols, size_t tiles, Coord from, Coord to)
+{
+    enum : size_t { east, west, south, north };
+    std::vector<LinkId> out;
+    size_t idx = size_t(from.row) * cols + from.col;
+    for (unsigned c = from.col; c < to.col; ++c)
+        out.push_back(LinkId(east * tiles + idx++));
+    for (unsigned c = from.col; c > to.col; --c)
+        out.push_back(LinkId(west * tiles + idx--));
+    for (unsigned r = from.row; r < to.row; ++r, idx += cols)
+        out.push_back(LinkId(south * tiles + idx));
+    for (unsigned r = from.row; r > to.row; --r, idx -= cols)
+        out.push_back(LinkId(north * tiles + idx));
+    return out;
+}
+
+} // namespace
+
+TEST(Mesh, PathsFollowTheFourLoopWalk)
+{
+    for (auto [rows, cols] : {std::pair{8u, 8u}, std::pair{3u, 5u}}) {
+        MeshNetwork mesh(rows, cols);
+        size_t tiles = size_t(rows) * cols;
+        auto at = [cols](size_t t) {
+            return Coord{uint8_t(t / cols), uint8_t(t % cols)};
+        };
+        for (size_t a = 0; a < tiles; ++a) {
+            for (size_t b = 0; b < tiles; ++b) {
+                std::vector<LinkId> path;
+                mesh.appendPath(at(a), at(b), path);
+                EXPECT_EQ(path, fourLoopWalk(cols, tiles, at(a), at(b)))
+                    << rows << "x" << cols << " " << a << "->" << b;
+                EXPECT_EQ(path.size(), mesh.distance(at(a), at(b)));
+            }
+            // To the edge: west along the row, then out of the port,
+            // whose links follow the four tile sets.
+            Coord src = at(a);
+            std::vector<LinkId> toEdge =
+                fourLoopWalk(cols, tiles, src, Coord{src.row, 0});
+            toEdge.push_back(LinkId(4 * tiles + src.row));
+            std::vector<LinkId> built;
+            mesh.appendToEdgePath(src, built);
+            EXPECT_EQ(built, toEdge) << "to edge " << a;
+            // From every row's port into column 0, then XY to the tile.
+            for (unsigned row = 0; row < rows; ++row) {
+                std::vector<LinkId> fromEdge{LinkId(4 * tiles + rows + row)};
+                for (LinkId l : fourLoopWalk(cols, tiles,
+                                             Coord{uint8_t(row), 0}, src))
+                    fromEdge.push_back(l);
+                built.clear();
+                mesh.appendFromEdgePath(row, src, built);
+                EXPECT_EQ(built, fromEdge)
+                    << "from row " << row << " edge to " << a;
+            }
+        }
+    }
+}
+
+TEST(Mesh, PrebuiltPathsRouteLikeOnTheFlyPaths)
+{
+    // The same contended tape through route() with and without a
+    // prebuilt path: every arrival and counter agrees.
+    MeshNetwork built(4, 4, 1), onTheFly(4, 4, 1);
+    uint64_t s = 77;
+    auto next = [&s] {
+        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+        return s >> 33;
+    };
+    std::vector<LinkId> path;
+    for (int i = 0; i < 5000; ++i) {
+        Coord a{uint8_t(next() % 4), uint8_t(next() % 4)};
+        Coord b{uint8_t(next() % 4), uint8_t(next() % 4)};
+        Tick inject = Tick(i / 4) + next() % 8;
+        path.clear();
+        built.appendPath(a, b, path);
+        ASSERT_EQ(built.route(a, b, path.data(), inject),
+                  onTheFly.route(a, b, inject))
+            << "step " << i;
+    }
+    EXPECT_EQ(built.totalHops(), onTheFly.totalHops());
+    EXPECT_EQ(built.contentionTicks(), onTheFly.contentionTicks());
+    EXPECT_EQ(built.operandsRouted(), onTheFly.operandsRouted());
 }
 
 TEST(Mesh, StallHistogramMatchesPerHopSampling)

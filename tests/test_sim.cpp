@@ -742,6 +742,173 @@ TEST(ResourceOracle, SparseUnboundHistoryMatches)
     EXPECT_GT(res.intervals(), 3000u);
 }
 
+TEST(ResourceOracle, InlineGrantsAtAndInsideTheTailMatch)
+{
+    // Mostly the inline path: requests at or after the tail run's start,
+    // granted at max(earliest, lastEnd) with one OR when the grant fits
+    // a word. Intervals 2 and 3 put grants across word boundaries; a
+    // jump now and then lands past the ring's end; a request back into
+    // a gap now and then checks that tailStart stayed exact.
+    for (Tick interval : {Tick(1), Tick(2), Tick(3)}) {
+        Tick floor = 0;
+        Resource res(interval);
+        res.bindFloor(&floor);
+        MapOracleResource oracle(interval);
+        uint64_t s = 2200 + interval;
+        for (int i = 0; i < 20000; ++i) {
+            uint64_t r = nextRand(s) % 100;
+            Tick end = oracle.nextFree();
+            Tick earliest;
+            if (r < 40)
+                earliest = end + nextRand(s) % 4; // at or after lastEnd
+            else if (r < 70)
+                earliest = end - std::min(end - floor,
+                                          nextRand(s) % (2 * interval + 1));
+            else if (r < 75)
+                earliest = end + 200 + nextRand(s) % 400; // past the ring
+            else
+                earliest = floor + nextRand(s) % (end - floor + 1);
+            ASSERT_EQ(res.acquire(earliest), oracle.acquire(earliest))
+                << "interval " << interval << " step " << i;
+            if (i % 8 == 0)
+                floor += nextRand(s) % (8 * interval);
+            floor = std::min(floor, oracle.nextFree());
+            Tick probe = floor + nextRand(s) % 300;
+            ASSERT_EQ(res.idleAt(probe), oracle.idleAt(probe))
+                << "interval " << interval << " probe step " << i;
+            if (i % 64 == 0)
+                expectSameCalendar(res, oracle, floor, floor);
+        }
+        EXPECT_EQ(res.grants(), oracle.grants());
+        EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+    }
+}
+
+TEST(ResourceOracle, ShortWindowSearchesMatch)
+{
+    // Out-of-order requests into a half-busy window above a rising
+    // floor: one-tick windows (interval 1), two-tick windows (interval
+    // 2, the issue and register ports) and windows of 3 to 66 ticks,
+    // so that word-parallel searches meet runs that straddle words and
+    // the alternating search takes the windows longer than a word.
+    for (Tick interval : {Tick(1), Tick(2), Tick(3)}) {
+        Tick floor = 0;
+        Resource res(interval);
+        res.bindFloor(&floor);
+        MapOracleResource oracle(interval);
+        uint64_t s = 3300 + interval;
+        for (int i = 0; i < 30000; ++i) {
+            floor += nextRand(s) % (3 * interval + 1);
+            Tick earliest = floor + nextRand(s) % 700;
+            uint64_t units = nextRand(s) % 4 == 0
+                                 ? 1 + nextRand(s) % (66 / interval)
+                                 : 1 + nextRand(s) % 2;
+            ASSERT_EQ(res.acquireMany(earliest, units),
+                      oracle.acquireMany(earliest, units))
+                << "interval " << interval << " step " << i;
+            if (i % 100 == 0)
+                expectSameCalendar(res, oracle, floor, floor);
+        }
+        EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+    }
+}
+
+TEST(ResourceOracle, WindowsAtEveryOffsetOfAWordMatch)
+{
+    // One idle gap of exactly len ticks starting at or near a word's
+    // last bit, then a request from tick 0 for len ticks: the gap is
+    // the answer only if the word-parallel search sees windows that
+    // start late in one word and end in the next. Lengths run past a
+    // word, into the alternating search.
+    for (Tick len = 1; len <= 70; ++len) {
+        for (Tick gap : {Tick(1), Tick(62), Tick(63), Tick(64), Tick(127)}) {
+            Resource res(1);
+            MapOracleResource oracle(1);
+            ASSERT_EQ(res.acquireMany(0, gap), oracle.acquireMany(0, gap));
+            ASSERT_EQ(res.acquireMany(gap + len, 5),
+                      oracle.acquireMany(gap + len, 5));
+            ASSERT_EQ(res.acquireMany(0, len), oracle.acquireMany(0, len))
+                << "len " << len << " gap at " << gap;
+            ASSERT_EQ(res.acquireMany(0, len), oracle.acquireMany(0, len))
+                << "len " << len << " after the gap filled, at " << gap;
+        }
+    }
+}
+
+TEST(ResourceOracle, FastPathsAfterShiftCalendarMatch)
+{
+    // A shifted calendar keeps its bits and moves its base: inline
+    // grants and window searches must read it at the new base. The
+    // unbound calendar also takes requests below the moved base.
+    for (bool bound : {true, false}) {
+        for (Tick interval : {Tick(1), Tick(2), Tick(3)}) {
+            Tick floor = 0;
+            Resource res(interval);
+            if (bound)
+                res.bindFloor(&floor);
+            MapOracleResource oracle(interval);
+            uint64_t s = (bound ? 4400 : 5500) + interval;
+            for (int round = 0; round < 200; ++round) {
+                for (int i = 0; i < 30; ++i) {
+                    if (bound)
+                        floor += nextRand(s) % (2 * interval + 1);
+                    Tick end = oracle.nextFree();
+                    Tick earliest = i % 3 == 0
+                                        ? std::max(floor, end)
+                                        : floor + nextRand(s) % 200;
+                    if (!bound && i % 5 == 0)
+                        earliest = nextRand(s) % (end + 1);
+                    uint64_t units = 1 + nextRand(s) % 3;
+                    ASSERT_EQ(res.acquireMany(earliest, units),
+                              oracle.acquireMany(earliest, units))
+                        << "round " << round << " step " << i;
+                }
+                Tick shift = 1 + nextRand(s) % 700;
+                res.shiftCalendar(shift);
+                oracle.shiftCalendar(shift);
+                if (bound)
+                    floor += shift;
+                for (Tick d = 0; d < 4; ++d) {
+                    Tick earliest = floor + d * interval;
+                    ASSERT_EQ(res.acquire(earliest), oracle.acquire(earliest))
+                        << "round " << round << " offset " << d;
+                }
+                expectSameCalendar(res, oracle, floor, floor);
+            }
+            EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+        }
+    }
+}
+
+TEST(ResourceOracle, ShortWindowsBehindFarAheadGrantsMatch)
+{
+    // A grant far ahead leaves one long tail run beyond a wide idle
+    // gap: short windows below it must be found in the gap, never at
+    // the far lastEnd, and requests inside the far run wait for it.
+    for (Tick interval : {Tick(1), Tick(2), Tick(3)}) {
+        Tick floor = 0;
+        Resource res(interval);
+        res.bindFloor(&floor);
+        MapOracleResource oracle(interval);
+        uint64_t s = 6600 + interval;
+        for (int i = 0; i < 6000; ++i) {
+            floor += nextRand(s) % (2 * interval + 1);
+            Tick earliest = floor + nextRand(s) % 300;
+            if (i % 50 == 0)
+                earliest += 5000 + nextRand(s) % 100000;
+            else if (i % 7 == 0 && oracle.nextFree() > floor)
+                earliest = oracle.nextFree() - 1;
+            uint64_t units = 1 + nextRand(s) % 3;
+            ASSERT_EQ(res.acquireMany(earliest, units),
+                      oracle.acquireMany(earliest, units))
+                << "interval " << interval << " step " << i;
+            if (i % 100 == 0)
+                expectSameCalendar(res, oracle, floor, floor);
+        }
+        EXPECT_EQ(res.waitedTicks(), oracle.waitedTicks());
+    }
+}
+
 TEST(Resource, AcquireBelowTheFloorPanics)
 {
     Tick floor = 100;
