@@ -91,10 +91,21 @@ BENCHMARK(BM_ResourceAcquireInOrder);
 static void
 BM_ResourceAcquireScattered(benchmark::State &state)
 {
+    // One fixed batch of out-of-order acquires per iteration on a reset
+    // calendar, as BM_EventQueue does: an unreset calendar fills as the
+    // iteration count grows, so its number would depend on how many
+    // iterations google-benchmark picks.
     sim::Resource res(1);
+    std::vector<Tick> tape(4096);
     Rng rng(2);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(res.acquire(rng.below(1 << 20)));
+    for (Tick &t : tape)
+        t = rng.below(1 << 16);
+    for (auto _ : state) {
+        res.reset();
+        for (Tick t : tape)
+            benchmark::DoNotOptimize(res.acquire(t));
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(tape.size()));
 }
 BENCHMARK(BM_ResourceAcquireScattered);
 

@@ -20,17 +20,29 @@ std::atomic<bool> quietFlag{false};
  * least-recently-warned message instead of growing without limit or
  * dropping the whole table (which would reset suppression for every
  * live message at once). An evicted message that recurs is treated as
- * new and warns again -- the acceptable failure mode. Guarded by
- * warnMutex: warn() is called from the sweep driver's worker threads.
+ * new and warns again -- the acceptable failure mode. Guarded by its
+ * mutex: warn() is called from the sweep driver's worker threads.
  */
-std::mutex warnMutex;
 struct WarnEntry
 {
     std::string msg;
     uint64_t count;
 };
-std::list<WarnEntry> warnLru; ///< most recently warned at the front
-std::unordered_map<std::string, std::list<WarnEntry>::iterator> warnIndex;
+struct WarnTable
+{
+    std::mutex mutex;
+    std::list<WarnEntry> lru; ///< most recently warned at the front
+    std::unordered_map<std::string, std::list<WarnEntry>::iterator> index;
+};
+
+/** Built on first use: static initializers elsewhere (the DLP_TRACE and
+ *  DLP_TIMELINE_CATS parsers) may warn before this file's globals exist. */
+WarnTable &
+warnTable()
+{
+    static WarnTable table;
+    return table;
+}
 
 } // namespace
 
@@ -95,20 +107,21 @@ warnMsg(const std::string &msg)
 {
     if (quietFlag.load(std::memory_order_relaxed))
         return;
-    std::lock_guard<std::mutex> lock(warnMutex);
+    WarnTable &t = warnTable();
+    std::lock_guard<std::mutex> lock(t.mutex);
     uint64_t n;
-    auto it = warnIndex.find(msg);
-    if (it != warnIndex.end()) {
+    auto it = t.index.find(msg);
+    if (it != t.index.end()) {
         // Refresh recency and bump the count.
-        warnLru.splice(warnLru.begin(), warnLru, it->second);
-        n = ++warnLru.front().count;
+        t.lru.splice(t.lru.begin(), t.lru, it->second);
+        n = ++t.lru.front().count;
     } else {
-        if (warnIndex.size() >= warnTableLimit) {
-            warnIndex.erase(warnLru.back().msg);
-            warnLru.pop_back();
+        if (t.index.size() >= warnTableLimit) {
+            t.index.erase(t.lru.back().msg);
+            t.lru.pop_back();
         }
-        warnLru.push_front(WarnEntry{msg, 1});
-        warnIndex[msg] = warnLru.begin();
+        t.lru.push_front(WarnEntry{msg, 1});
+        t.index[msg] = t.lru.begin();
         n = 1;
     }
     if (n > warnRepeatLimit)
@@ -124,24 +137,27 @@ warnMsg(const std::string &msg)
 void
 resetWarnDeduplication()
 {
-    std::lock_guard<std::mutex> lock(warnMutex);
-    warnLru.clear();
-    warnIndex.clear();
+    WarnTable &t = warnTable();
+    std::lock_guard<std::mutex> lock(t.mutex);
+    t.lru.clear();
+    t.index.clear();
 }
 
 size_t
 warnTableSize()
 {
-    std::lock_guard<std::mutex> lock(warnMutex);
-    return warnIndex.size();
+    WarnTable &t = warnTable();
+    std::lock_guard<std::mutex> lock(t.mutex);
+    return t.index.size();
 }
 
 uint64_t
 warnOccurrences(const std::string &msg)
 {
-    std::lock_guard<std::mutex> lock(warnMutex);
-    auto it = warnIndex.find(msg);
-    return it != warnIndex.end() ? it->second->count : 0;
+    WarnTable &t = warnTable();
+    std::lock_guard<std::mutex> lock(t.mutex);
+    auto it = t.index.find(msg);
+    return it != t.index.end() ? it->second->count : 0;
 }
 
 void

@@ -4,7 +4,6 @@
 #include <cinttypes>
 
 #include "common/bitutils.hh"
-#include "common/trace.hh"
 #include "epoch/epoch.hh"
 #include "epoch/passes.hh"
 #include "isa/disasm.hh"
@@ -30,28 +29,22 @@ BlockEngine::BlockEngine(const MachineParams &params,
 {
     // The structural resources whose occupancy sets the activation
     // initiation interval when iterations pipeline across frames.
-    auto trackSet = [this](std::vector<sim::Resource> &set,
-                           const char *name) {
-        for (auto &r : set) {
+    auto trackSet = [this](std::vector<sim::Resource> &set) {
+        for (auto &r : set)
             tracked.push_back(&r);
-            trackedName.push_back(name);
-        }
     };
-    trackSet(issuePorts, "issue");
-    trackSet(divPorts, "div");
-    trackSet(injectPorts, "inject");
-    trackSet(l0Ports, "l0");
-    trackSet(regRead, "regRead");
-    trackSet(regWrite, "regWrite");
-    trackSet(mem.smc().bankPortResources(), "smcBank");
-    trackSet(mem.smc().storeBufResources(), "storeBuf");
-    trackSet(mem.l1().portResources(), "l1");
-    trackSet(mem.l2().portResources(), "l2");
-    trackSet(mem.smc().channelResources(), "channel");
-    mesh.forEachLink([this](sim::Resource &r) {
-        tracked.push_back(&r);
-        trackedName.push_back("link");
-    });
+    trackSet(issuePorts);
+    trackSet(divPorts);
+    trackSet(injectPorts);
+    trackSet(l0Ports);
+    trackSet(regRead);
+    trackSet(regWrite);
+    trackSet(mem.smc().bankPortResources());
+    trackSet(mem.smc().storeBufResources());
+    trackSet(mem.l1().portResources());
+    trackSet(mem.l2().portResources());
+    trackSet(mem.smc().channelResources());
+    mesh.forEachLink([this](sim::Resource &r) { tracked.push_back(&r); });
     grantSnapshot.assign(tracked.size(), 0);
     // Every request an activation makes lands at or after its start,
     // and so do main memory's, which serve its L2 misses and DMA. Main
@@ -116,18 +109,9 @@ Tick
 BlockEngine::busySinceSnapshot() const
 {
     Tick worst = 0;
-    size_t argmax = 0;
     for (size_t i = 0; i < tracked.size(); ++i) {
-        Tick busy = (tracked[i]->grants() - grantSnapshot[i]) *
-                    tracked[i]->interval();
-        if (busy > worst) {
-            worst = busy;
-            argmax = i;
-        }
-    }
-    if (worst > 0) {
-        DPRINTF(Engine, "II bottleneck: %s[%zu] busy=%" PRIu64 " ticks",
-                trackedName[argmax], argmax, worst);
+        worst = std::max(worst, (tracked[i]->grants() - grantSnapshot[i]) *
+                                    tracked[i]->interval());
     }
     return worst;
 }
@@ -206,7 +190,6 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
     // carries, cross-block temporaries).
     auto paceActivation = [&](const BlockPaths &paths, bool first,
                               Tick gapTicks) {
-        const isa::MappedBlock &block = *paths.block;
         snapshotGrants();
         runActivation(paths, nextStart, first, stats);
         drain = std::max(drain, actMaxTick);
@@ -215,15 +198,9 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
         nextStart = std::max(nextStart + ii, actMaxWrite + gapTicks);
         if (!first) {
             ++*revitalizesStat;
-            DPRINTF(Revit,
-                    "revitalize %s gap=%" PRIu64 " next at %" PRIu64,
-                    block.name.c_str(), gapTicks, nextStart);
             OBS_SIM_SPAN(Revit, "revitalize", prev, gapTicks,
                          signatureStreak);
         }
-        DPRINTF(Engine,
-                "pace: ii=%" PRIu64 " delta=%" PRIu64 " drainLen=%" PRIu64,
-                ii, nextStart - prev, actMaxTick - prev);
         if (sampler)
             sampler->maybeSample(drain);
     };
@@ -282,10 +259,15 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
 
         epoch::EpochLower lower(in);
         if (!lower.ok()) {
-            DPRINTF(Epoch, "bail at unit %" PRIu64 " in %s: %s", u,
-                    lower.failedPass().c_str(),
-                    lower.failureDetail().c_str());
-            OBS_SIM_INSTANT(Epoch, "bail", nextStart, u);
+            // The failing pass and its detail ride as the label,
+            // interned only when a sink takes the category.
+            if (obs::enabled(obs::Cat::Epoch)) {
+                static const uint32_t bailId = obs::internName("bail");
+                obs::recordInstant(
+                    obs::Cat::Epoch, bailId, obs::Domain::Sim, nextStart, u,
+                    obs::internName(lower.failedPass() + ": " +
+                                    lower.failureDetail()));
+            }
             armThreshold *= 2;
             ++epochAttempts;
             return 2;
@@ -293,11 +275,6 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
 
         const epoch::EpochPlan &ep = lower.plan();
         const uint64_t iters = in.iterations;
-        DPRINTF(Epoch,
-                "enter at unit %" PRIu64 ": period=%" PRIu64
-                " ticks, %" PRIu64 " events/unit, replaying %" PRIu64
-                " units",
-                u, ep.period, ep.eqExecuted, iters);
 
         Tick firstStart = nextStart;
         Tick start = firstStart;
@@ -348,10 +325,6 @@ BlockEngine::run(const sched::SimdPlan &plan, uint64_t numRecords)
         actMaxWrite = lastStart + ep.writeLen;
         ++ffEpochsN;
         OBS_SIM_SPAN(Epoch, "epoch", firstStart, ep.period * iters, iters);
-        DPRINTF(Epoch,
-                "exit at unit %" PRIu64 ": clock advanced to %" PRIu64
-                ", %" PRIu64 " events saved",
-                u + 2 + iters, nextStart, ep.eqExecuted * iters);
         return 2 + iters;
     };
 
@@ -516,9 +489,6 @@ BlockEngine::runActivation(const BlockPaths &paths, Tick startTick,
             }
         }
     }
-    DPRINTF(Engine, "activation of %s starts at %" PRIu64 "%s",
-            block.name.c_str(), startTick,
-            firstActivation ? " (fresh mapping)" : "");
 
     floorTick = startTick;
     firedCount = 0;
@@ -589,10 +559,6 @@ BlockEngine::runActivation(const BlockPaths &paths, Tick startTick,
         signatureStreak = 0;
     }
     lastSignature = digest;
-    DPRINTF(Epoch,
-            "signature %016" PRIx64 " streak=%" PRIu64 " fired=%" PRIu64
-            " drain=%" PRIu64,
-            digest, signatureStreak, firedCount, actMaxTick - startTick);
 
     OBS_SIM_SPAN(Engine, "activation", startTick, actMaxTick - startTick,
                  firedCount);
@@ -643,7 +609,6 @@ BlockEngine::execute(const MappedBlock &block, uint32_t idx, Tick ready,
         else
             operandWait->sample(double(wait));
     }
-    DPRINTF(Exec, "fire %s at %" PRIu64, isa::disasm(mi).c_str(), ready);
     OBS_SIM_INSTANT(Exec, "fire", ready, idx);
 
     // Feed the occupancy signature: which instruction fired, how far

@@ -142,8 +142,6 @@ class BlockEngine
     /// @}
 
   private:
-    const char *dlpTraceName() const { return "block"; }
-
     struct InstState
     {
         Word operand[isa::maxSrcs] = {0, 0, 0};
@@ -258,7 +256,6 @@ class BlockEngine
 
     /** Resources whose occupancy bounds the activation pipeline. */
     std::vector<sim::Resource *> tracked;
-    std::vector<const char *> trackedName;
     std::vector<uint64_t> grantSnapshot;
 
     /** Snapshot grant counts of all tracked resources. */

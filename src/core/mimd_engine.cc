@@ -4,8 +4,6 @@
 #include <cinttypes>
 
 #include "common/bitutils.hh"
-#include "common/trace.hh"
-#include "isa/disasm.hh"
 
 namespace dlp::core {
 
@@ -129,8 +127,6 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
                 tileEnd = std::max(
                     tileEnd, ts.loads[(ts.loadHead + i) % loadWindow]);
             end = std::max(end, tileEnd);
-            DPRINTF(Engine, "tile %u finished at %" PRIu64, tileIdx,
-                    tileEnd);
         } else {
             readySet.push(ts.cursor, tileIdx);
         }
@@ -201,14 +197,11 @@ MimdEngine::step(const sched::MimdPlan &plan, TileState &ts, Tick t,
              tile, plan.name.c_str());
     ++hostSteps;
 
-    trace::setCurTick(t);
     if (t > ts.cursor)
         operandWait->sample(double(t - ts.cursor));
     ++stats.instsExecuted;
     if (!si.overhead)
         ++stats.usefulOps;
-    DPRINTF(Exec, "tile %u pc=%" PRIu64 " %s", tile, ts.pc,
-            isa::disasm(si).c_str());
     OBS_SIM_INSTANT(Exec, "step", t, (uint64_t(tile) << 32) | ts.pc);
 
     Word a = ts.regs[si.rs[0]];

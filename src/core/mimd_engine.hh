@@ -85,7 +85,6 @@ class MimdEngine
     void setSampler(obs::StatSampler *s) { sampler = s; }
 
   private:
-    const char *dlpTraceName() const { return "mimd"; }
     /** Per-tile architectural and pipeline state. */
     struct TileState
     {

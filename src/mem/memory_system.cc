@@ -67,8 +67,6 @@ MemorySystem::cachedTiming(unsigned row, Addr byteAddr, Tick start,
         t += l2Cache->hitLatencyTicks();
         if (!l2Hit)
             t = mainMem->access(t, cfg.lineBytes / wordBytes);
-        DPRINTF(Cache, "%s 0x%" PRIx64 " L1 miss, L2 %s", write ? "st" : "ld",
-                byteAddr, l2Hit ? "hit" : "miss");
         // Two distinct call sites: the interned-name static in the
         // macro is per-site, so a ternary name would stick on whichever
         // branch ran first.
@@ -81,9 +79,6 @@ MemorySystem::cachedTiming(unsigned row, Addr byteAddr, Tick start,
     Tick done = t + dist * hopTicks;
     ++*cachedAccesses;
     cachedLatency->sample(double(done - start));
-    DPRINTF(Mem,
-            "cached %s row %u 0x%" PRIx64 " start=%" PRIu64 " done=%" PRIu64,
-            write ? "write" : "read", row, byteAddr, start, done);
     if (write)
         OBS_SIM_SPAN(Mem, "cachedWrite", start, done - start, byteAddr);
     else

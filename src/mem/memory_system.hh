@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "mem/cache_model.hh"
 #include "mem/main_memory.hh"
@@ -82,8 +81,6 @@ class MemorySystem
     void resetTiming();
 
   private:
-    const char *dlpTraceName() const { return "memsys"; }
-
     /** Register statistics and the L1/L2 hit-rate formulas. */
     void initStats();
 

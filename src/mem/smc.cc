@@ -91,10 +91,6 @@ SmcSubsystem::read(unsigned row, Addr wordAddr, unsigned nwords, Tick start,
         bankConflicts->inc(row);
     Tick done = grant + units + bankLatency;
     lastActivity = std::max(lastActivity, done);
-    DPRINTF(SMC,
-            "read row %u addr=%" PRIu64 " words=%u stride=%u start=%" PRIu64
-            " grant=%" PRIu64 " done=%" PRIu64,
-            row, wordAddr, nwords, stride, start, grant, done);
     OBS_SIM_SPAN(SMC, "burst", start, done - start, nwords);
     return done;
 }
@@ -116,9 +112,6 @@ SmcSubsystem::write(unsigned row, Addr wordAddr, Word value, Tick start)
     if (grant > start)
         bankConflicts->inc(row);
     lastActivity = std::max(lastActivity, grant + 1);
-    DPRINTF(SMC,
-            "write row %u addr=%" PRIu64 " start=%" PRIu64 " accept=%" PRIu64,
-            row, wordAddr, start, grant + 1);
     // Amortized drain cost: the buffer coalesces, so draining keeps up
     // with acceptance at the same width; no extra charge here.
     OBS_SIM_SPAN(SMC, "storeAccept", start, grant + 1 - start, row);
@@ -140,8 +133,6 @@ SmcSubsystem::dmaTransfer(unsigned row, unsigned nwords, Tick start,
     Tick memDone = mainMem.access(start, nwords);
     Tick done = std::max(bankDone, memDone);
     lastActivity = std::max(lastActivity, done);
-    DPRINTF(SMC, "dma row %u words=%u start=%" PRIu64 " done=%" PRIu64, row,
-            nwords, start, done);
     OBS_SIM_SPAN(SMC, "dma", start, done - start, nwords);
     return done;
 }

@@ -21,7 +21,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "mem/main_memory.hh"
 #include "mem/params.hh"
@@ -137,8 +136,6 @@ class SmcSubsystem
     void resetTiming();
 
   private:
-    const char *dlpTraceName() const { return "smc"; }
-
     /** Register statistics and the pre-dump occupancy refresh. */
     void initStats();
 

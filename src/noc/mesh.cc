@@ -95,11 +95,6 @@ MeshNetwork::route(Coord src, Coord dst, const LinkId *path, Tick inject)
     unsigned n = distance(src, dst);
     Tick t = walk(path, n, inject);
     account(n, inject, t);
-    DPRINTF(Mesh,
-            "route (%u,%u)->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64
-            " stall=%" PRIu64,
-            src.row, src.col, dst.row, dst.col, inject, t,
-            t - inject - Tick(n) * hopTicks);
     OBS_SIM_SPAN(Mesh, "flit", inject, t - inject, n);
     return t;
 }
@@ -114,9 +109,6 @@ MeshNetwork::routeToEdge(Coord src, Tick inject)
     size_t k = size_t(src.row) * cols + src.col;
     Tick arrive = walk(&edgeLinks[edgeStart[k]], src.col + 1u, inject);
     account(src.col + 1u, inject, arrive);
-    DPRINTF(Mesh,
-            "toEdge (%u,%u) inject=%" PRIu64 " at-port=%" PRIu64,
-            src.row, src.col, inject, arrive);
     OBS_SIM_SPAN(Mesh, "toEdge", inject, arrive - inject, src.col + 1);
     return arrive;
 }
@@ -134,9 +126,6 @@ MeshNetwork::routeFromEdge(unsigned row, Coord dst, Tick inject)
     unsigned n = 1 + distance(Coord{uint8_t(row), 0}, dst);
     Tick t = walk(&edgeLinks[edgeStart[k]], n, inject);
     account(n, inject, t);
-    DPRINTF(Mesh,
-            "fromEdge row %u ->(%u,%u) inject=%" PRIu64 " arrive=%" PRIu64,
-            row, dst.row, dst.col, inject, t);
     OBS_SIM_SPAN(Mesh, "fromEdge", inject, t - inject, dst.col + 1);
     return t;
 }

@@ -35,7 +35,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/resource.hh"
 
@@ -227,8 +226,6 @@ class MeshNetwork
     }
 
   private:
-    const char *dlpTraceName() const { return "mesh"; }
-
     /** Register statistics and the pre-dump utilization refresh. */
     void initStats();
 

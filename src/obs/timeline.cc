@@ -1,12 +1,15 @@
 #include "obs/timeline.hh"
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -16,8 +19,7 @@ namespace dlp::obs {
 
 namespace detail {
 
-std::atomic<bool> recording = false;
-std::atomic<bool> catBits[numCats] = {};
+std::atomic<uint8_t> sinks[numCats] = {};
 
 } // namespace detail
 
@@ -27,6 +29,58 @@ const char *const catNames[numCats] = {
     "EventQ", "Mesh", "SMC", "Cache", "Mem", "Engine", "Revit", "Exec",
     "Epoch", "Driver", "Audit", "Check", "Store",
 };
+
+/// Sink configuration: the bits each category asks for, the master ring
+/// switch, and the names already warned about. Changes are rare, so one
+/// mutex serializes them and publish() writes the gates.
+std::mutex configMutex;
+uint8_t wanted[numCats] = {};
+bool recordingOn = false;
+std::unordered_set<std::string> warnedNames;
+
+/** Write every category's gate byte. Caller holds configMutex. */
+void
+publish()
+{
+    const auto mask = uint8_t(recordingOn ? 0xff : ~ringSink);
+    for (unsigned i = 0; i < numCats; ++i)
+        detail::sinks[i].store(wanted[i] & mask, std::memory_order_relaxed);
+}
+
+/**
+ * Apply one "Mesh" / "-Mesh" / "All" token to sink s's wanted bits,
+ * warning once per unknown name. Caller holds configMutex.
+ */
+bool
+applyName(const std::string &spec, Sink s)
+{
+    const bool on = spec.empty() || spec[0] != '-';
+    const std::string_view name = std::string_view(spec).substr(on ? 0 : 1);
+    const bool all = name == "All";
+    bool found = false;
+    for (unsigned i = 0; i < numCats; ++i) {
+        if (all || name == catNames[i]) {
+            wanted[i] = on ? wanted[i] | s : wanted[i] & ~s;
+            found = true;
+        }
+    }
+    const char *noun = s == textSink ? "trace flag" : "timeline category";
+    if (!found &&
+        warnedNames.insert(std::string(noun) + ":" + std::string(name))
+            .second) {
+        std::string known;
+        for (const char *n : catNames)
+            known += std::string(n) + ", ";
+        warn("unknown %s '%s' (known: %sAll)", noun, spec.c_str(),
+             known.c_str());
+    }
+    return found;
+}
+
+/// The text sink's stream (nullptr = std::cout); the mutex also keeps
+/// concurrent simulations from shearing a line.
+std::mutex textMutex;
+std::ostream *textStream = nullptr;
 
 /**
  * One recorded event. Spans ('X') use ts+dur, instants ('i') use ts,
@@ -210,6 +264,48 @@ appendEvent(std::string &out, const TraceEvent &ev, uint32_t tid,
     out += "}";
 }
 
+/** One text-sink line: "<ts>: <Cat>: <name>[ dur=][ arg=| value=][ label]". */
+void
+printLine(const TraceEvent &ev)
+{
+    std::string line = std::to_string(ev.ts);
+    line += ": ";
+    line += catNames[static_cast<unsigned>(ev.cat)];
+    line += ": ";
+    std::string label;
+    {
+        std::lock_guard<std::mutex> lock(nameMutex);
+        line += nameTable[ev.nameId];
+        label = nameTable[ev.labelId];
+    }
+    if (ev.phase == 'X')
+        line += " dur=" + std::to_string(ev.dur);
+    if (ev.phase == 'C') {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), " value=%.17g", ev.value);
+        line += buf;
+    } else if (ev.arg != 0) {
+        line += " arg=" + std::to_string(ev.arg);
+    }
+    if (!label.empty())
+        line += " " + label;
+    line += '\n';
+    std::lock_guard<std::mutex> lock(textMutex);
+    (textStream ? *textStream : std::cout) << line;
+}
+
+/** Hand one event to every sink its category's gate names. */
+void
+record(const TraceEvent &ev)
+{
+    const uint8_t s = detail::sinks[static_cast<unsigned>(ev.cat)].load(
+        std::memory_order_relaxed);
+    if (s & ringSink)
+        threadBuffer().push(ev);
+    if ((s & textSink) && ev.domain == Domain::Sim)
+        printLine(ev);
+}
+
 void atexitWriter();
 
 } // namespace
@@ -220,80 +316,59 @@ catName(Cat c)
     return catNames[static_cast<unsigned>(c)];
 }
 
+bool
+sinkEnabled(Cat c, Sink s)
+{
+    return detail::sinks[static_cast<unsigned>(c)].load(
+               std::memory_order_relaxed) & s;
+}
+
 void
 setRecording(bool on)
 {
-    detail::recording.store(on, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(configMutex);
+    recordingOn = on;
+    publish();
+}
+
+bool
+setByName(const std::string &spec, Sink s)
+{
+    std::lock_guard<std::mutex> lock(configMutex);
+    bool found = applyName(spec, s);
+    publish();
+    return found;
 }
 
 void
-enableAllCats()
+setTextStream(std::ostream *os)
 {
-    for (unsigned i = 0; i < numCats; ++i)
-        detail::catBits[i].store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(textMutex);
+    textStream = os;
 }
 
 void
-parseCatList(const std::string &list)
+parseCatList(const std::string &list, Sink s)
 {
-    if (list.empty()) {
-        enableAllCats();
-        return;
-    }
-    // Listing any positive category starts from all-off; a pure
-    // subtraction list ("-Exec") starts from all-on.
+    std::vector<std::string> specs;
     bool anyPositive = false;
-    {
-        std::string token;
-        std::istringstream in(list);
-        while (std::getline(in, token, ',')) {
-            size_t b = token.find_first_not_of(" \t");
-            if (b != std::string::npos && token[b] != '-')
-                anyPositive = true;
-        }
-    }
-    for (unsigned i = 0; i < numCats; ++i)
-        detail::catBits[i].store(!anyPositive, std::memory_order_relaxed);
-
-    static std::mutex warnedMutex;
-    static std::unordered_set<std::string> warnedNames;
-
     std::string token;
     std::istringstream in(list);
     while (std::getline(in, token, ',')) {
+        // Trim surrounding spaces so "Mesh, SMC" works too.
         size_t b = token.find_first_not_of(" \t");
         size_t e = token.find_last_not_of(" \t");
         if (b == std::string::npos)
             continue;
-        std::string spec = token.substr(b, e - b + 1);
-        bool on = true;
-        std::string name = spec;
-        if (!name.empty() && name[0] == '-') {
-            on = false;
-            name = name.substr(1);
-        }
-        if (name == "All") {
-            for (unsigned i = 0; i < numCats; ++i)
-                detail::catBits[i].store(on, std::memory_order_relaxed);
-            continue;
-        }
-        bool found = false;
-        for (unsigned i = 0; i < numCats; ++i) {
-            if (name == catNames[i]) {
-                detail::catBits[i].store(on, std::memory_order_relaxed);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            std::lock_guard<std::mutex> lock(warnedMutex);
-            if (warnedNames.insert(name).second) {
-                warn("unknown timeline category '%s' (known: EventQ, Mesh, "
-                     "SMC, Cache, Mem, Engine, Revit, Exec, Epoch, Driver, "
-                     "Audit, Check, Store, All)", spec.c_str());
-            }
-        }
+        specs.push_back(token.substr(b, e - b + 1));
+        anyPositive |= specs.back()[0] != '-';
     }
+    std::lock_guard<std::mutex> lock(configMutex);
+    for (uint8_t &w : wanted)
+        w = anyPositive ? w & ~s : w | s;
+    for (const std::string &spec : specs)
+        applyName(spec, s);
+    publish();
 }
 
 void
@@ -354,44 +429,23 @@ void
 recordSpan(Cat c, uint32_t nameId, Domain d, uint64_t ts, uint64_t dur,
            uint64_t arg, uint32_t labelId)
 {
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.dur = dur;
-    ev.arg = arg;
-    ev.nameId = nameId;
-    ev.labelId = labelId;
-    ev.cat = c;
-    ev.domain = d;
-    ev.phase = 'X';
-    threadBuffer().push(ev);
+    record({.ts = ts, .dur = dur, .arg = arg, .nameId = nameId,
+            .labelId = labelId, .cat = c, .domain = d, .phase = 'X'});
 }
 
 void
 recordInstant(Cat c, uint32_t nameId, Domain d, uint64_t ts, uint64_t arg,
               uint32_t labelId)
 {
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.arg = arg;
-    ev.nameId = nameId;
-    ev.labelId = labelId;
-    ev.cat = c;
-    ev.domain = d;
-    ev.phase = 'i';
-    threadBuffer().push(ev);
+    record({.ts = ts, .arg = arg, .nameId = nameId, .labelId = labelId,
+            .cat = c, .domain = d, .phase = 'i'});
 }
 
 void
 recordCounter(Cat c, uint32_t nameId, Domain d, uint64_t ts, double value)
 {
-    TraceEvent ev;
-    ev.ts = ts;
-    ev.value = value;
-    ev.nameId = nameId;
-    ev.cat = c;
-    ev.domain = d;
-    ev.phase = 'C';
-    threadBuffer().push(ev);
+    record({.ts = ts, .value = value, .nameId = nameId, .cat = c,
+            .domain = d, .phase = 'C'});
 }
 
 void
@@ -418,9 +472,7 @@ HostSpan::HostSpan(Cat c, const char *name, const std::string &label,
 
 HostSpan::~HostSpan()
 {
-    // Recording may have been switched off mid-span; still emit, so a
-    // span straddling the switch is not silently lost.
-    if (!active || !recordingEnabled())
+    if (!active)
         return;
     uint64_t end = hostNowNs();
     recordSpan(cat, nameId, Domain::Host, startNs,
@@ -441,6 +493,17 @@ exportChromeJson()
         std::string tname = "thread " + std::to_string(buf->tid);
         appendMetadata(out, 1, int(buf->tid), "thread_name", tname, first);
         appendMetadata(out, 2, int(buf->tid), "thread_name", tname, first);
+        // Ring accounting: a wrapped ring says how much it lost.
+        const uint64_t held = std::min<uint64_t>(buf->total, buf->ring.size());
+        out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
+        out += std::to_string(buf->tid);
+        out += ",\"name\":\"ring\",\"args\":{\"capacity\":";
+        out += std::to_string(buf->ring.size());
+        out += ",\"written\":";
+        out += std::to_string(buf->total);
+        out += ",\"dropped\":";
+        out += std::to_string(buf->total - held);
+        out += "}}";
     }
     for (const auto &buf : buffers) {
         const size_t size = buf->ring.size();
@@ -534,10 +597,10 @@ initFromEnv()
         else
             warn("ignoring malformed DLP_TIMELINE_CAP '%s'", cap);
     }
-    if (const char *cats = std::getenv("DLP_TIMELINE_CATS"))
-        parseCatList(cats);
-    else
-        enableAllCats();
+    if (const char *flags = std::getenv("DLP_TRACE"); flags && *flags)
+        parseCatList(flags, textSink);
+    const char *cats = std::getenv("DLP_TIMELINE_CATS");
+    parseCatList(cats ? cats : "All");
     if (const char *path = std::getenv("DLP_TIMELINE")) {
         if (*path) {
             setOutputPath(path);
@@ -556,7 +619,7 @@ initFromEnv()
 
 namespace {
 
-/** Parses DLP_TIMELINE et al. before main(), mirroring trace::EnvInit. */
+/** Parses DLP_TRACE, DLP_TIMELINE et al. before main(). */
 struct EnvInit
 {
     EnvInit() { initFromEnv(); }

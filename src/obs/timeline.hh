@@ -1,34 +1,44 @@
 /**
  * @file
- * Timeline tracing: a low-overhead, ring-buffered span/instant/counter
- * recorder with two clock domains, exported as Chrome trace-event JSON
- * loadable in Perfetto or chrome://tracing.
+ * The one instrumentation API: simulated-tick and host-wall-clock
+ * spans, instants and counters, each tagged with a category and fed to
+ * two sinks.
  *
- * Where DPRINTF prints *lines*, the timeline records *intervals*: engine
- * activations, mesh flit journeys, SMC bursts, cache-miss episodes on
- * the simulated-tick clock, and JobPool tasks, sweep cells, fixture
- * builds and audit/check gates on the host wall clock. Every event
- * carries a category mirroring the DPRINTF flag registry (Mesh, SMC,
- * Engine, ...) plus host-side categories (Driver, Audit, Check), so the
- * same mental model — and the same filter lists — work for both.
+ *  - The **ring** records events into fixed-capacity per-thread ring
+ *    buffers (no locks, no allocation after the ring fills; when a ring
+ *    wraps, the oldest events are overwritten and counted as dropped)
+ *    and exports them as Chrome trace-event JSON loadable in Perfetto
+ *    or chrome://tracing.
+ *  - The **text** sink prints one line per simulated-domain event,
+ *    stamped with the event's own tick:
  *
- * Recording is opt-in and cheap:
+ *        1234: Mesh: flit dur=6 arg=3
  *
- *  - off (the default): every instrumentation site is one relaxed
- *    atomic load and a branch, exactly the DPRINTF discipline;
- *  - compiled out: defining DLP_TRACE_DISABLED removes even that;
- *  - on: events go to a fixed-capacity per-thread ring buffer (no
- *    locks, no allocation after the ring fills); when the ring wraps,
- *    the oldest events are overwritten and counted as dropped.
+ *    that is `<ts>: <Cat>: <name>`, then ` dur=` (spans), ` arg=`
+ *    (when non-zero) or ` value=` (counters), then the label if any.
+ *    Lines go to std::cout under one mutex, so concurrent simulations
+ *    never shear a line.
  *
- * Enable with DLP_TIMELINE=FILE (export at exit) or programmatically:
+ * Simulated-domain sites are engine activations, mesh flit journeys,
+ * SMC bursts, cache-miss episodes, epoch replays and per-instruction
+ * fires; host-domain sites are JobPool jobs, sweep cells, fixture
+ * builds, audit/check gates and result-store lookups.
+ *
+ * Each category has one atomic byte of sink bits, so a site costs one
+ * relaxed load and a branch while its sinks are off; defining
+ * DLP_TRACE_DISABLED at compile time removes even that. Both sinks take
+ * the same category lists ("Mesh,SMC", "All,-Exec"):
+ *
+ *     DLP_TRACE=Mesh,SMC ./build/examples/quickstart           # text
+ *     DLP_TIMELINE=trace.json DLP_TIMELINE_CATS=All,-Exec ...  # ring
+ *
+ * or programmatically:
  *
  *     obs::setOutputPath("trace.json");
  *     obs::setRecording(true);
  *     ... run ...
  *     obs::finish();   // writes the Chrome trace JSON
  *
- * DLP_TIMELINE_CATS=Mesh,SMC restricts recording to listed categories;
  * DLP_TIMELINE_CAP=N sets the per-thread ring capacity in events.
  *
  * Clock domains map to Chrome trace *processes*: pid 1 is simulated
@@ -40,8 +50,8 @@
  * (SignatureHash below): the execution engines fold every instruction
  * fire (index, tick offset) plus the activation's occupancy envelope
  * into one 64-bit digest per activation. Identical digests mean the
- * iteration replayed the same schedule — the steady-state detection
- * hook ROADMAP item 1 (epoch fast-forwarding) consumes.
+ * iteration replayed the same schedule -- the steady-state detection
+ * hook epoch fast-forwarding consumes.
  */
 
 #ifndef DLP_OBS_TIMELINE_HH
@@ -49,21 +59,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/hash.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 
 namespace dlp::obs {
 
-/**
- * Span/event categories. The first numFlags entries mirror trace::Flag
- * one to one (same names, same order), so every DPRINTF flag is also a
- * span category; the rest are host-side categories with no DPRINTF
- * counterpart.
- */
+/** Event categories: the simulated machine's, then host-side ones. */
 enum class Cat : uint8_t
 {
     EventQ,  ///< event-kernel visibility (queue occupancy counters)
@@ -74,7 +79,7 @@ enum class Cat : uint8_t
     Engine,  ///< activations, mappings, chunk runs
     Revit,   ///< revitalization broadcasts
     Exec,    ///< per-instruction fires (very verbose)
-    Epoch,   ///< epoch fast-forwarding: recorded iterations, replay spans
+    Epoch,   ///< epoch fast-forwarding: replay spans, bail-outs
     Driver,  ///< host: sweep cells, fixtures, JobPool jobs, experiments
     Audit,   ///< host: post-run invariant audit gate
     Check,   ///< host: pre-run static verification gate
@@ -83,15 +88,6 @@ enum class Cat : uint8_t
 };
 
 constexpr unsigned numCats = static_cast<unsigned>(Cat::NumCats);
-static_assert(static_cast<unsigned>(Cat::Epoch) + 1 == trace::numFlags,
-              "the first obs categories must mirror trace::Flag");
-
-/** The category a DPRINTF flag maps to (identity on the shared prefix). */
-constexpr Cat
-catOf(trace::Flag f)
-{
-    return static_cast<Cat>(static_cast<unsigned>(f));
-}
 
 /** Canonical category name ("Mesh", "Driver", ...). */
 const char *catName(Cat c);
@@ -99,48 +95,60 @@ const char *catName(Cat c);
 /** Which clock a timestamp belongs to. */
 enum class Domain : uint8_t
 {
-    Sim,  ///< simulated half-cycle ticks (trace::curTick)
+    Sim,  ///< simulated half-cycle ticks
     Host  ///< wall-clock nanoseconds since process start
+};
+
+/** Where a category's events go: one bit each in its gate byte. */
+enum Sink : uint8_t
+{
+    ringSink = 1, ///< the timeline rings (setRecording, DLP_TIMELINE_CATS)
+    textSink = 2, ///< one line per simulated-domain event (DLP_TRACE)
 };
 
 namespace detail {
 
-extern std::atomic<bool> recording;
-extern std::atomic<bool> catBits[numCats];
+/** Per-category sink bits: the one hot-path gate. */
+extern std::atomic<uint8_t> sinks[numCats];
 
 } // namespace detail
 
 #ifdef DLP_TRACE_DISABLED
 inline bool enabled(Cat) { return false; }
-inline bool recordingEnabled() { return false; }
 #else
-/** Hot-path gate: is this category being recorded right now? */
+/** Hot-path gate: does any sink take this category right now? */
 inline bool
 enabled(Cat c)
 {
-    return detail::recording.load(std::memory_order_relaxed) &&
-           detail::catBits[static_cast<unsigned>(c)].load(
-               std::memory_order_relaxed);
-}
-
-inline bool
-recordingEnabled()
-{
-    return detail::recording.load(std::memory_order_relaxed);
+    return detail::sinks[static_cast<unsigned>(c)].load(
+               std::memory_order_relaxed) != 0;
 }
 #endif
 
-/** Master recording switch (categories keep their filter settings). */
+/** Does sink s currently take category c? */
+bool sinkEnabled(Cat c, Sink s);
+
+/** Master ring switch (categories keep their ring filter settings). */
 void setRecording(bool on);
 
 /**
- * Restrict recording to a comma-separated category list ("Mesh,SMC",
- * "All,-Exec"); unknown names warn once each. Empty string = all.
+ * Turn one category on ("Mesh") or off ("-Mesh") for sink s; "All"
+ * matches every category. Names are case-sensitive.
+ * @return false if the name is unknown, warning once per name ("unknown
+ *         timeline category" for the ring, "unknown trace flag" for
+ *         text).
  */
-void parseCatList(const std::string &list);
+bool setByName(const std::string &spec, Sink s);
 
-/** Enable every category (the default). */
-void enableAllCats();
+/**
+ * Set sink s's categories from a comma-separated list ("Mesh,SMC",
+ * "All,-Exec"). A list naming any category positively starts from
+ * all-off; a pure subtraction list ("-Exec") starts from all-on.
+ */
+void parseCatList(const std::string &list, Sink s = ringSink);
+
+/** Redirect the text sink (nullptr restores the default, std::cout). */
+void setTextStream(std::ostream *os);
 
 /**
  * Per-thread ring capacity in events for buffers created (or cleared)
@@ -167,15 +175,19 @@ uint64_t hostNowNs();
  */
 uint32_t internName(const std::string &name);
 
-/** Record one complete span ('X'). Caller has checked enabled(). */
+/**
+ * Record one complete span ('X') into every sink that takes category c
+ * (the text sink prints simulated-domain events only). Sites check
+ * enabled() first, so a disabled site never calls in.
+ */
 void recordSpan(Cat c, uint32_t nameId, Domain d, uint64_t ts,
                 uint64_t dur, uint64_t arg = 0, uint32_t labelId = 0);
 
-/** Record one instant ('i'). Caller has checked enabled(). */
+/** Record one instant ('i'), as recordSpan does. */
 void recordInstant(Cat c, uint32_t nameId, Domain d, uint64_t ts,
                    uint64_t arg = 0, uint32_t labelId = 0);
 
-/** Record one counter sample ('C'). Caller has checked enabled(). */
+/** Record one counter sample ('C'), as recordSpan does. */
 void recordCounter(Cat c, uint32_t nameId, Domain d, uint64_t ts,
                    double value);
 
@@ -185,7 +197,7 @@ void hostInstant(Cat c, const char *name, const std::string &label = {});
 /**
  * RAII host-wall-clock span. Does nothing when the category is off;
  * the label string (kernel/config names and the like) is interned only
- * when recording.
+ * when it is on. Host-domain events go to the ring only.
  */
 class HostSpan
 {
@@ -209,7 +221,11 @@ class HostSpan
 /// @name Export and lifecycle.
 /// @{
 
-/** Serialize everything recorded so far as a Chrome trace JSON text. */
+/**
+ * Serialize everything recorded so far as a Chrome trace JSON text,
+ * with one "ring" metadata record per thread buffer giving its
+ * capacity and the events written to and dropped from it.
+ */
 std::string exportChromeJson();
 
 /** Write exportChromeJson() to a file; fatal on I/O failure. */
@@ -225,8 +241,9 @@ std::string finish();
 /** Drop all recorded events and re-apply the ring capacity. */
 void clearTimeline();
 
-/** Parse DLP_TIMELINE / DLP_TIMELINE_CATS / DLP_TIMELINE_CAP /
- *  DLP_TIMESERIES. Called automatically before main(). */
+/** Parse DLP_TRACE / DLP_TIMELINE / DLP_TIMELINE_CATS /
+ *  DLP_TIMELINE_CAP / DLP_TIMESERIES. Called automatically before
+ *  main() (harmless to call again, e.g. after setenv in tests). */
 void initFromEnv();
 
 /**

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "sim/inline_fn.hh"
 #include "sim/slot_occupancy.hh"
@@ -74,8 +73,6 @@ class EventQueue
         panic_if(when < now,
                  "scheduling event in the past (%" PRIu64 " < %" PRIu64 ")",
                  when, now);
-        DPRINTF(EventQ, "schedule event at %" PRIu64 " (%zu pending)", when,
-                pendingCount);
         if (pendingCount == 0) {
             // Empty queue: re-anchor the window at the present so the
             // ring covers the ticks about to be scheduled.
@@ -159,19 +156,12 @@ class EventQueue
             // ahead of an earlier-scheduled (smaller-seq) overflow event.
             migrateOverflow();
             now = t;
-            trace::setCurTick(t);
-            // Sample the trace flag once per tick, not per event.
-            const bool traceFires = trace::enabled(trace::Flag::EventQ);
             auto &bucket = buckets[static_cast<size_t>(t & bucketMask)];
             // Index-based walk: an event may append to this very bucket
             // by scheduling at its own tick.
             for (size_t i = 0; i < bucket.size(); ++i) {
                 // Copy out: the append above may reallocate the bucket.
                 EventFn fn = bucket[i].fn;
-                if (traceFires) {
-                    DPRINTF(EventQ, "event fires (%zu pending)",
-                            pendingCount - 1);
-                }
                 --pendingCount;
                 ++executedCount;
                 fn();
@@ -214,9 +204,6 @@ class EventQueue
     }
 
   private:
-    /** Component name used by DPRINTF lines from this class. */
-    static const char *dlpTraceName() { return "eventq"; }
-
     struct Event
     {
         Tick when;

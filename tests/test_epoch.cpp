@@ -164,7 +164,7 @@ TEST(Epoch, EpochSpansAppearInChromeTrace)
     epoch::FastForwardGuard guard;
     epoch::setFastForwardEnabled(true);
     obs::clearTimeline();
-    obs::enableAllCats();
+    obs::parseCatList("All");
     obs::setRecording(true);
     auto res = runOne("convert", "S");
     obs::setRecording(false);

@@ -3,7 +3,8 @@
  * Tests for the timeline tracing subsystem (src/obs/): ring-buffer
  * overflow and wrap accounting, span nesting across the two clock
  * domains, round-tripping the exported Chrome trace JSON through the
- * in-repo parser, category filtering, the occupancy-signature hash,
+ * in-repo parser, category filtering, one site feeding both the ring
+ * and the text sink, the occupancy-signature hash,
  * the periodic stat sampler's conservation law, and the guarantee that
  * tracing and sampling never perturb simulated results.
  */
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "noc/mesh.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
 
@@ -39,7 +42,9 @@ struct ObsReset
     restore()
     {
         obs::setRecording(false);
-        obs::enableAllCats();
+        obs::parseCatList("All");
+        obs::parseCatList("-All", obs::textSink);
+        obs::setTextStream(nullptr);
         obs::setTimeseriesInterval(0);
         obs::setRingCapacity(1 << 16);
         obs::clearTimeline();
@@ -61,15 +66,15 @@ eventsNamed(const json::Value &doc, const std::string &name)
 
 TEST(TimelineCats, MirrorTraceFlagsAndHostExtensions)
 {
-    // The first categories must track the DPRINTF flag registry name
-    // for name so one filter vocabulary serves both systems.
-    for (unsigned i = 0; i < trace::numFlags; ++i) {
-        trace::Flag f = static_cast<trace::Flag>(i);
-        EXPECT_STREQ(obs::catName(obs::catOf(f)), trace::flagName(f));
-    }
-    EXPECT_STREQ(obs::catName(obs::Cat::Driver), "Driver");
-    EXPECT_STREQ(obs::catName(obs::Cat::Audit), "Audit");
-    EXPECT_STREQ(obs::catName(obs::Cat::Check), "Check");
+    // One vocabulary names the categories of both sinks: DLP_TRACE and
+    // DLP_TIMELINE_CATS lists, and the "cat" of every exported event.
+    const char *const names[] = {
+        "EventQ", "Mesh", "SMC", "Cache", "Mem", "Engine", "Revit",
+        "Exec", "Epoch", "Driver", "Audit", "Check", "Store",
+    };
+    ASSERT_EQ(std::size(names), obs::numCats);
+    for (unsigned i = 0; i < obs::numCats; ++i)
+        EXPECT_STREQ(obs::catName(static_cast<obs::Cat>(i)), names[i]);
 }
 
 TEST(TimelineCats, ParseCatListFiltersAndWarnsOnce)
@@ -150,6 +155,37 @@ TEST(TimelineRing, OverflowWrapsOldestFirstAndCountsDrops)
     EXPECT_EQ(counts.dropped, 0u);
 }
 
+TEST(TimelineRing, ExportsDropCountsPerThread)
+{
+    ObsReset guard;
+    obs::setRingCapacity(16);
+    obs::clearTimeline();
+    obs::setRecording(true);
+    const uint32_t name = obs::internName("drop.ev");
+    for (uint64_t i = 0; i < 20; ++i)
+        obs::recordInstant(obs::Cat::Engine, name, obs::Domain::Sim, i, i);
+    obs::setRecording(false);
+
+    // Other tests' threads may own buffers too; this thread's ring is
+    // the one that wrapped.
+    json::Value doc = json::parse(obs::exportChromeJson());
+    unsigned rings = 0, wrapped = 0;
+    for (const auto &ev : doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() != "M" ||
+            ev.at("name").asString() != "ring")
+            continue;
+        ++rings;
+        const json::Value &args = ev.at("args");
+        EXPECT_EQ(args.at("capacity").asNumber(), 16.0);
+        if (args.at("written").asNumber() == 20.0) {
+            EXPECT_EQ(args.at("dropped").asNumber(), 4.0);
+            ++wrapped;
+        }
+    }
+    EXPECT_EQ(rings, obs::timelineCounts().threads);
+    EXPECT_EQ(wrapped, 1u);
+}
+
 TEST(TimelineSpans, NestingAcrossClockDomains)
 {
     ObsReset guard;
@@ -228,7 +264,7 @@ TEST(TimelineSpans, HostSpanRespectsCategoryFilter)
     obs::hostInstant(obs::Cat::Driver, "kept.instant");
 
     obs::setRecording(false);
-    obs::enableAllCats();
+    obs::parseCatList("All");
 
     json::Value doc = json::parse(obs::exportChromeJson());
     EXPECT_EQ(eventsNamed(doc, "filtered.span").size(), 0u);
@@ -264,9 +300,16 @@ TEST(TimelineExport, ChromeSchemaRoundTrip)
         EXPECT_GE(ev.at("tid").asNumber(), 0.0);
         if (ph == "M") {
             const std::string_view what = ev.at("name").asString();
+            metadataPids.insert(static_cast<int>(pid));
+            if (what == "ring") {
+                const json::Value &args = ev.at("args");
+                EXPECT_GE(args.at("capacity").asNumber(), 16.0);
+                EXPECT_GE(args.at("written").asNumber(),
+                          args.at("dropped").asNumber());
+                continue;
+            }
             EXPECT_TRUE(what == "process_name" || what == "thread_name");
             EXPECT_FALSE(ev.at("args").at("name").asString().empty());
-            metadataPids.insert(static_cast<int>(pid));
             continue;
         }
         EXPECT_TRUE(knownCats.count(ev.at("cat").asString()))
@@ -291,6 +334,58 @@ TEST(TimelineExport, ChromeSchemaRoundTrip)
     // Both clock-domain processes are named.
     EXPECT_TRUE(metadataPids.count(1));
     EXPECT_TRUE(metadataPids.count(2));
+}
+
+TEST(TimelineText, OneSiteFeedsRingAndText)
+{
+    ObsReset guard;
+    obs::clearTimeline();
+    std::ostringstream text;
+    obs::setTextStream(&text);
+
+    // Both sinks off: the sites record and print nothing.
+    noc::MeshNetwork mesh(4, 4);
+    auto routeSome = [&mesh](Tick t) {
+        mesh.route({0, 0}, {2, 3}, t);
+        mesh.route({1, 1}, {1, 1}, t); // local bypass: no flit
+        mesh.route({3, 0}, {0, 2}, t + 1);
+        mesh.routeToEdge({2, 2}, t + 2);
+        mesh.routeFromEdge(1, {3, 3}, t + 3);
+    };
+    routeSome(10);
+    EXPECT_EQ(obs::timelineCounts().recorded, 0u);
+    EXPECT_TRUE(text.str().empty());
+
+    // The ring on with its category filter, plus Mesh's text bit.
+    obs::setRecording(true);
+    obs::setByName("Mesh", obs::textSink);
+    routeSome(20);
+    obs::setRecording(false);
+    obs::setByName("-Mesh", obs::textSink);
+
+    std::multiset<std::string> lines;
+    std::istringstream in(text.str());
+    for (std::string line; std::getline(in, line);)
+        lines.insert(line);
+
+    auto num = [](const json::Value &v) {
+        return std::to_string(uint64_t(v.asNumber()));
+    };
+    json::Value doc = json::parse(obs::exportChromeJson());
+    size_t events = 0;
+    for (const char *name : {"flit", "toEdge", "fromEdge"}) {
+        for (const json::Value *ev : eventsNamed(doc, name)) {
+            ++events;
+            std::string want = num(ev->at("ts")) + ": Mesh: " + name +
+                               " dur=" + num(ev->at("dur"));
+            if (ev->has("args"))
+                want += " arg=" + num(ev->at("args").at("arg"));
+            EXPECT_EQ(lines.count(want), 1u) << want;
+            lines.erase(want);
+        }
+    }
+    EXPECT_EQ(events, 4u);
+    EXPECT_TRUE(lines.empty()) << *lines.begin();
 }
 
 TEST(SignatureHashTest, DeterministicOrderSensitiveResettable)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the observability layer: trace flags and the DPRINTF sink,
+ * Tests for the observability layer: DLP_TRACE's flags and text lines,
  * the non-scalar statistics (distributions, vectors, formulas) and their
  * snapshots, warn() rate limiting, the JSON writer/parser round trip,
  * and the experiment-result exporter's document shape.
@@ -20,7 +20,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
+#include "obs/timeline.hh"
 
 using namespace dlp;
 
@@ -38,114 +38,127 @@ parseError(const std::string &text)
     return "parsed";
 }
 
-/** RAII: leave the global trace state clean for the next test. */
+/** RAII: leave the text sink off and on std::cout for the next test. */
 struct TraceReset
 {
-    TraceReset() { trace::disableAll(); }
+    TraceReset() { restore(); }
+    ~TraceReset() { restore(); }
 
-    ~TraceReset()
+    static void
+    restore()
     {
-        trace::disableAll();
-        trace::setSink(nullptr);
-        trace::setCurTick(0);
+        obs::parseCatList("-All", obs::textSink);
+        obs::setTextStream(nullptr);
     }
 };
 
-/** A component the way the engines declare one. */
-class Widget
+bool
+traceOn(obs::Cat c)
 {
-  public:
-    void
-    poke(uint64_t when)
-    {
-        trace::setCurTick(when);
-        DPRINTF(Mesh, "poked with %" PRIu64, when);
-    }
+    return obs::sinkEnabled(c, obs::textSink);
+}
 
-  private:
-    const char *dlpTraceName() const { return "widget"; }
-};
+bool
+anyTraceOn()
+{
+    for (unsigned i = 0; i < obs::numCats; ++i)
+        if (traceOn(static_cast<obs::Cat>(i)))
+            return true;
+    return false;
+}
 
 } // namespace
 
 TEST(TraceFlags, NamesAndProgrammaticControl)
 {
     TraceReset guard;
-    EXPECT_FALSE(trace::anyEnabled());
-    EXPECT_STREQ(trace::flagName(trace::Flag::Mesh), "Mesh");
-    EXPECT_STREQ(trace::flagName(trace::Flag::SMC), "SMC");
-    EXPECT_EQ(trace::flagNames().size(), trace::numFlags);
+    EXPECT_FALSE(anyTraceOn());
+    EXPECT_STREQ(obs::catName(obs::Cat::Mesh), "Mesh");
+    EXPECT_STREQ(obs::catName(obs::Cat::SMC), "SMC");
 
-    trace::enable(trace::Flag::Mesh);
-    EXPECT_TRUE(trace::enabled(trace::Flag::Mesh));
-    EXPECT_FALSE(trace::enabled(trace::Flag::SMC));
-    EXPECT_TRUE(trace::anyEnabled());
+    EXPECT_TRUE(obs::setByName("Mesh", obs::textSink));
+    EXPECT_TRUE(traceOn(obs::Cat::Mesh));
+    EXPECT_FALSE(traceOn(obs::Cat::SMC));
+    EXPECT_TRUE(anyTraceOn());
+    // The text bit alone opens the site gate.
+    EXPECT_TRUE(obs::enabled(obs::Cat::Mesh));
 
-    trace::disable(trace::Flag::Mesh);
-    EXPECT_FALSE(trace::anyEnabled());
+    EXPECT_TRUE(obs::setByName("-Mesh", obs::textSink));
+    EXPECT_FALSE(anyTraceOn());
 }
 
 TEST(TraceFlags, SetByName)
 {
     TraceReset guard;
-    EXPECT_TRUE(trace::setByName("SMC"));
-    EXPECT_TRUE(trace::enabled(trace::Flag::SMC));
-    EXPECT_TRUE(trace::setByName("-SMC"));
-    EXPECT_FALSE(trace::enabled(trace::Flag::SMC));
+    EXPECT_TRUE(obs::setByName("SMC", obs::textSink));
+    EXPECT_TRUE(traceOn(obs::Cat::SMC));
+    EXPECT_TRUE(obs::setByName("-SMC", obs::textSink));
+    EXPECT_FALSE(traceOn(obs::Cat::SMC));
 
-    EXPECT_TRUE(trace::setByName("All"));
-    for (unsigned i = 0; i < trace::numFlags; ++i)
-        EXPECT_TRUE(trace::enabled(static_cast<trace::Flag>(i)));
-    EXPECT_TRUE(trace::setByName("-All"));
-    EXPECT_FALSE(trace::anyEnabled());
+    EXPECT_TRUE(obs::setByName("All", obs::textSink));
+    for (unsigned i = 0; i < obs::numCats; ++i)
+        EXPECT_TRUE(traceOn(static_cast<obs::Cat>(i)));
+    EXPECT_TRUE(obs::setByName("-All", obs::textSink));
+    EXPECT_FALSE(anyTraceOn());
 
     setQuietLogging(true);
-    EXPECT_FALSE(trace::setByName("NoSuchFlag"));
+    EXPECT_FALSE(obs::setByName("NoSuchFlag", obs::textSink));
     setQuietLogging(false);
-    EXPECT_FALSE(trace::anyEnabled());
+    EXPECT_FALSE(anyTraceOn());
 }
 
 TEST(TraceFlags, ParseFlagList)
 {
     TraceReset guard;
-    trace::parseFlagList("Mesh, SMC");
-    EXPECT_TRUE(trace::enabled(trace::Flag::Mesh));
-    EXPECT_TRUE(trace::enabled(trace::Flag::SMC));
-    EXPECT_FALSE(trace::enabled(trace::Flag::EventQ));
+    obs::parseCatList("Mesh, SMC", obs::textSink);
+    EXPECT_TRUE(traceOn(obs::Cat::Mesh));
+    EXPECT_TRUE(traceOn(obs::Cat::SMC));
+    EXPECT_FALSE(traceOn(obs::Cat::EventQ));
 
-    trace::disableAll();
-    trace::parseFlagList("All,-Exec");
-    EXPECT_TRUE(trace::enabled(trace::Flag::Mesh));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Exec));
+    obs::parseCatList("All,-Exec", obs::textSink);
+    EXPECT_TRUE(traceOn(obs::Cat::Mesh));
+    EXPECT_FALSE(traceOn(obs::Cat::Exec));
 }
 
 TEST(TraceFlags, InitFromEnv)
 {
     TraceReset guard;
     ::setenv("DLP_TRACE", "Mesh,SMC", 1);
-    trace::initFromEnv();
+    obs::initFromEnv();
     ::unsetenv("DLP_TRACE");
-    EXPECT_TRUE(trace::enabled(trace::Flag::Mesh));
-    EXPECT_TRUE(trace::enabled(trace::Flag::SMC));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Engine));
+    EXPECT_TRUE(traceOn(obs::Cat::Mesh));
+    EXPECT_TRUE(traceOn(obs::Cat::SMC));
+    EXPECT_FALSE(traceOn(obs::Cat::Engine));
 }
 
 TEST(TraceOutput, TickComponentMessageFormat)
 {
     TraceReset guard;
+    obs::clearTimeline();
     std::ostringstream lines;
-    trace::setSink(&lines);
-    trace::enable(trace::Flag::Mesh);
+    obs::setTextStream(&lines);
+    obs::setByName("Mesh", obs::textSink);
 
-    Widget w;
-    w.poke(42);
-    DPRINTF(Mesh, "from free scope");
-    trace::disable(trace::Flag::Mesh);
-    w.poke(99); // flag off: must not print
+    // Each line is stamped with its event's own tick.
+    OBS_SIM_SPAN(Mesh, "poke", 42, 3, 7);
+    OBS_SIM_INSTANT(Mesh, "mark", 45, 0);
+    OBS_SIM_COUNTER(Mesh, "depth", 46, 2.5);
+    obs::recordInstant(obs::Cat::Mesh, obs::internName("bail"),
+                       obs::Domain::Sim, 47, 1,
+                       obs::internName("Pass: detail"));
+    // Host-domain events and other categories print nothing.
+    obs::hostInstant(obs::Cat::Mesh, "host.instant");
+    OBS_SIM_SPAN(SMC, "burst", 48, 1, 1);
+    obs::setByName("-Mesh", obs::textSink);
+    OBS_SIM_SPAN(Mesh, "poke", 99, 1, 1); // flag off: must not print
 
     EXPECT_EQ(lines.str(),
-              "42: widget: poked with 42\n"
-              "42: global: from free scope\n");
+              "42: Mesh: poke dur=3 arg=7\n"
+              "45: Mesh: mark\n"
+              "46: Mesh: depth value=2.5\n"
+              "47: Mesh: bail arg=1 Pass: detail\n");
+    // The text sink leaves the ring alone.
+    EXPECT_EQ(obs::timelineCounts().recorded, 0u);
 }
 
 TEST(WarnDeduplication, SuppressesAfterLimit)
@@ -213,10 +226,10 @@ TEST(TraceFlags, UnknownFlagWarnsOncePerName)
     // Same unknown name three ways: direct, inside a list, direct again.
     // The return-value contract is unchanged (false every time) but the
     // warning must fire exactly once for the name.
-    EXPECT_FALSE(trace::setByName("BogusWarnOnceFlag"));
-    trace::parseFlagList("BogusWarnOnceFlag, Mesh");
-    EXPECT_FALSE(trace::setByName("BogusWarnOnceFlag"));
-    EXPECT_TRUE(trace::enabled(trace::Flag::Mesh)); // rest of list applies
+    EXPECT_FALSE(obs::setByName("BogusWarnOnceFlag", obs::textSink));
+    obs::parseCatList("BogusWarnOnceFlag, Mesh", obs::textSink);
+    EXPECT_FALSE(obs::setByName("BogusWarnOnceFlag", obs::textSink));
+    EXPECT_TRUE(traceOn(obs::Cat::Mesh)); // rest of list applies
 
     std::string err = testing::internal::GetCapturedStderr();
     resetWarnDeduplication();
