@@ -372,6 +372,26 @@ BM_JsonServiceExport(benchmark::State &state)
 BENCHMARK(BM_JsonServiceExport)->Unit(benchmark::kMillisecond);
 
 /**
+ * json::write alone on the document BM_JsonServiceExport builds, built
+ * once outside the timed loop, so the writer's cost shows apart from
+ * analysis::toJson's.
+ */
+static void
+BM_JsonWrite(benchmark::State &state)
+{
+    const json::Value doc = analysis::toJson(syntheticService());
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = json::write(doc);
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
+        bytes += text.size();
+    }
+    state.SetBytesProcessed(int64_t(bytes));
+}
+BENCHMARK(BM_JsonWrite)->Unit(benchmark::kMillisecond);
+
+/**
  * json::parse of the export BM_JsonServiceExport writes, and freeing
  * the document: the path the result store's reads and warm reruns take.
  */

@@ -1,13 +1,17 @@
 #include "common/json.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
+#include <vector>
 
 namespace dlp::json {
 
@@ -73,6 +77,80 @@ quote(char *out, std::string_view s)
     }
     *out++ = '"';
     return out;
+}
+
+/// Bytes the writer's newline() copies at once: "\n", then spaces.
+constexpr size_t lineCopy = 32;
+
+constexpr auto lineTable = [] {
+    std::array<char, lineCopy> t{};
+    t.fill(' ');
+    t[0] = '\n';
+    return t;
+}();
+
+/// "00" to "99": the two digits of i at 2 * i.
+constexpr auto digitPairs = [] {
+    std::array<char, 200> t{};
+    for (int i = 0; i < 100; ++i) {
+        t[2 * i] = char('0' + i / 10);
+        t[2 * i + 1] = char('0' + i % 10);
+    }
+    return t;
+}();
+
+/// 10^i for i in 0..19, every power of ten a uint64_t holds.
+constexpr auto powersOfTen = [] {
+    std::array<uint64_t, 20> t{};
+    t[0] = 1;
+    for (size_t i = 1; i < t.size(); ++i)
+        t[i] = 10 * t[i - 1];
+    return t;
+}();
+
+/** Decimal digits of v (1 for 0). */
+unsigned
+decimalDigits(uint64_t v)
+{
+    // 1233 / 4096 is just under log10(2), so t is floor(log10(2^w))
+    // for w significant bits: v has t or t + 1 digits. Setting bit 0
+    // counts 0 as one digit and moves no other v across a power of ten.
+    v |= 1;
+    unsigned t = unsigned(std::bit_width(v) * 1233) >> 12;
+    return t + (v >= powersOfTen[t]);
+}
+
+/**
+ * Writes v in decimal at out, two digits per step, and returns the
+ * end; the same bytes as std::to_chars, at most 20 of them.
+ */
+char *
+writeUnsigned(char *out, uint64_t v)
+{
+    char *end = out + decimalDigits(v);
+    char *p = end;
+    while (v >= 100) {
+        p -= 2;
+        std::memcpy(p, &digitPairs[2 * (v % 100)], 2);
+        v /= 100;
+    }
+    if (v >= 10)
+        std::memcpy(p - 2, &digitPairs[2 * v], 2);
+    else
+        p[-1] = char('0' + v);
+    return end;
+}
+
+/** writeUnsigned with a leading '-' for a negative v; at most 20 bytes. */
+char *
+writeSigned(char *out, int64_t v)
+{
+    uint64_t magnitude = uint64_t(v);
+    if (v < 0) {
+        *out++ = '-';
+        magnitude = 0 - magnitude;
+    }
+    return writeUnsigned(out, magnitude);
 }
 
 constexpr size_t
@@ -624,10 +702,17 @@ Value::grow(size_t n)
 namespace detail {
 
 /**
- * Serializes a document into one growable buffer. Every item, member
- * and scalar makes one capacity check for the most bytes it can take
- * (a string as if each byte needed a \u escape), then writes through a
- * raw pointer. Member names are copied pre-rendered from their keys.
+ * Serializes a document into a list of output chunks. Every item,
+ * member and scalar makes one room check for the most bytes it can
+ * take (a string as if each byte needed a \u escape), then writes
+ * through a raw pointer. Member names are copied pre-rendered from
+ * their keys.
+ *
+ * Chunks are never zero-filled and never moved: a full chunk keeps its
+ * bytes, and the next one doubles from firstChunk up to maxChunk, so a
+ * small document takes one small block and a large one copies each
+ * byte once more, when document() joins the chunks into a string
+ * reserved to their exact total.
  */
 class Writer
 {
@@ -643,13 +728,33 @@ class Writer
             reserve(1);
             put('\n');
         }
-        buf_.resize(size_t(p_ - buf_.data()));
-        return std::move(buf_);
+        chunks_.back().used = size_t(p_ - chunks_.back().bytes.get());
+        size_t total = 0;
+        for (const OutChunk &c : chunks_)
+            total += c.used;
+        std::string out;
+        out.reserve(total);
+        for (const OutChunk &c : chunks_)
+            out.append(c.bytes.get(), c.used);
+        return out;
     }
 
   private:
     /// Longest scalar; "-2.2250738585072014e-308" is 24 bytes.
     static constexpr size_t maxScalar = 32;
+    /// Room of the first output chunk; later ones double up to maxChunk.
+    static constexpr size_t firstChunk = 4 * 1024;
+    static constexpr size_t maxChunk = 1024 * 1024;
+    /// An item's room check covers a scalar after its newline, so the
+    /// fixed-size copy in newline() always fits there.
+    static_assert(lineCopy <= maxScalar);
+
+    /** Written bytes, then unused room. */
+    struct OutChunk
+    {
+        std::unique_ptr<char[]> bytes;
+        size_t used;  ///< written bytes; set when the chunk is left
+    };
 
     void
     reserve(size_t n)
@@ -658,13 +763,17 @@ class Writer
             grow(n);
     }
 
+    /** Leaves the current chunk for a new one with room for n bytes. */
     void
     grow(size_t n)
     {
-        size_t used = size_t(p_ - buf_.data());
-        buf_.resize(std::max(2 * buf_.size(), used + n));
-        p_ = buf_.data() + used;
-        end_ = buf_.data() + buf_.size();
+        if (!chunks_.empty())
+            chunks_.back().used = size_t(p_ - chunks_.back().bytes.get());
+        size_t room = std::max(nextChunk_, n);
+        nextChunk_ = std::min(2 * nextChunk_, maxChunk);
+        chunks_.push_back({std::make_unique_for_overwrite<char[]>(room), 0});
+        p_ = chunks_.back().bytes.get();
+        end_ = p_ + room;
     }
 
     void put(char c) { *p_++ = c; }
@@ -688,9 +797,16 @@ class Writer
     {
         if (!indent_)
             return;
-        *p_++ = '\n';
-        size_t n = size_t(indent_) * level;
-        std::memset(p_, ' ', n);
+        size_t n = 1 + size_t(indent_) * level;
+        // One fixed-size copy when the line fits the table and the
+        // chunk has room for all of it; the next write overwrites the
+        // bytes past n, or they stay in the chunk's unused tail.
+        if (n <= lineCopy && size_t(end_ - p_) >= lineCopy) {
+            std::memcpy(p_, lineTable.data(), lineCopy);
+        } else {
+            *p_ = '\n';
+            std::memset(p_ + 1, ' ', n - 1);
+        }
         p_ += n;
     }
 
@@ -701,10 +817,10 @@ class Writer
         // Exact 64-bit integers print all their digits, no double detour.
         switch (v.rep_) {
           case Value::NumRep::UInt64:
-            p_ = std::to_chars(p_, end_, v.int_).ptr;
+            p_ = writeUnsigned(p_, v.int_);
             return;
           case Value::NumRep::Int64:
-            p_ = std::to_chars(p_, end_, int64_t(v.int_)).ptr;
+            p_ = writeSigned(p_, int64_t(v.int_));
             return;
           case Value::NumRep::Double:
             break;
@@ -720,7 +836,7 @@ class Writer
         // Below that bound the int64 conversion is defined, and it
         // round-trips exactly when d is integral (-0.0 prints as 0).
         if (std::fabs(d) < 9.0e15 && double(int64_t(d)) == d) {
-            p_ = std::to_chars(p_, end_, int64_t(d)).ptr;
+            p_ = writeSigned(p_, int64_t(d));
             return;
         }
         p_ = std::to_chars(p_, end_, d).ptr;
@@ -791,9 +907,10 @@ class Writer
     }
 
     unsigned indent_;  ///< spaces per nesting level; 0 = one line
-    std::string buf_;  ///< written bytes, then unused capacity
-    char *p_ = buf_.data();   ///< next byte to write
-    char *end_ = buf_.data(); ///< end of the capacity
+    std::vector<OutChunk> chunks_;  ///< the last one is being written
+    size_t nextChunk_ = firstChunk;
+    char *p_ = nullptr;    ///< next byte to write
+    char *end_ = nullptr;  ///< end of the current chunk
 };
 
 /**

@@ -28,7 +28,13 @@
  *  - a writer with optional pretty-printing; doubles are emitted via
  *    std::to_chars (shortest round-trippable form), numbers that hold
  *    exact integral values print without a decimal point, and exact
- *    64-bit integers print all their digits,
+ *    64-bit integers print all their digits. It writes into output
+ *    chunks that are never zero-filled (4 KiB doubling to 1 MiB) and
+ *    joins them once into a string of the exact size, so a document's
+ *    bytes are held at most twice and never in a doubled buffer;
+ *    integers print through its own two-digits-per-step formatter
+ *    (the same bytes as std::to_chars), and each line's newline and
+ *    indent is one fixed-size copy,
  *  - a recursive-descent parser that raises FatalError, naming the
  *    byte offset, on malformed input: among others a number with a
  *    leading zero, a raw control byte inside a string, and a \u escape

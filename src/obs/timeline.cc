@@ -1,5 +1,6 @@
 #include "obs/timeline.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -102,26 +103,58 @@ struct TraceEvent
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "ring events must relocate with memcpy");
 
-/**
- * Per-thread ring buffer. Owned by the global registry (not the thread)
- * so events survive thread exit and export can run after a JobPool has
- * wound down. The owning thread writes lock-free; the registry mutex is
- * taken only for registration, clear and export.
- */
-struct ThreadBuffer
+/** A fixed-capacity ring of events; a full ring overwrites its oldest. */
+struct Ring
 {
-    explicit ThreadBuffer(size_t cap, uint32_t id) : ring(cap), tid(id) {}
-
-    std::vector<TraceEvent> ring;
+    std::vector<TraceEvent> events;
     uint64_t total = 0; ///< events ever written (head = total % size)
-    uint32_t tid;
+
+    void
+    reset(size_t cap)
+    {
+        events.assign(cap, TraceEvent{});
+        total = 0;
+    }
 
     void
     push(const TraceEvent &ev)
     {
-        ring[total % ring.size()] = ev;
+        events[total % events.size()] = ev;
         ++total;
     }
+
+    uint64_t held() const { return std::min<uint64_t>(total, events.size()); }
+    uint64_t dropped() const { return total - held(); }
+};
+
+/// Each thread's host-domain ring. Host events (cells, jobs, fixtures,
+/// gates, store lookups) are few and coarse, so a small ring of their
+/// own keeps them when per-instruction simulated events wrap theirs.
+constexpr size_t hostRingCap = 1 << 12;
+
+/**
+ * Per-thread ring buffers, one per clock domain. Owned by the global
+ * registry (not the thread) so events survive thread exit and export
+ * can run after a JobPool has wound down. The owning thread writes
+ * lock-free; the registry mutex is taken only for registration, clear
+ * and export.
+ */
+struct ThreadBuffer
+{
+    ThreadBuffer(size_t simCap, uint32_t id) : tid(id) { reset(simCap); }
+
+    Ring sim;
+    Ring host;
+    uint32_t tid;
+
+    void
+    reset(size_t simCap)
+    {
+        sim.reset(simCap);
+        host.reset(hostRingCap);
+    }
+
+    Ring &ring(Domain d) { return d == Domain::Host ? host : sim; }
 };
 
 std::mutex registryMutex;
@@ -198,6 +231,18 @@ appendMetadata(std::string &out, int pid, int tid, const char *what,
     out += "\",\"args\":{\"name\":\"";
     escapeJson(out, name);
     out += "\"}}";
+}
+
+/** A ring's "capacity", "written" and "dropped" JSON members. */
+void
+appendRingArgs(std::string &out, const Ring &ring)
+{
+    out += "\"capacity\":";
+    out += std::to_string(ring.events.size());
+    out += ",\"written\":";
+    out += std::to_string(ring.total);
+    out += ",\"dropped\":";
+    out += std::to_string(ring.dropped());
 }
 
 void
@@ -301,7 +346,7 @@ record(const TraceEvent &ev)
     const uint8_t s = detail::sinks[static_cast<unsigned>(ev.cat)].load(
         std::memory_order_relaxed);
     if (s & ringSink)
-        threadBuffer().push(ev);
+        threadBuffer().ring(ev.domain).push(ev);
     if ((s & textSink) && ev.domain == Domain::Sim)
         printLine(ev);
 }
@@ -493,27 +538,26 @@ exportChromeJson()
         std::string tname = "thread " + std::to_string(buf->tid);
         appendMetadata(out, 1, int(buf->tid), "thread_name", tname, first);
         appendMetadata(out, 2, int(buf->tid), "thread_name", tname, first);
-        // Ring accounting: a wrapped ring says how much it lost.
-        const uint64_t held = std::min<uint64_t>(buf->total, buf->ring.size());
+        // Ring accounting: a wrapped ring says how much it lost. The
+        // simulated-domain ring's figures come first, the host ring's
+        // in "host".
         out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
         out += std::to_string(buf->tid);
-        out += ",\"name\":\"ring\",\"args\":{\"capacity\":";
-        out += std::to_string(buf->ring.size());
-        out += ",\"written\":";
-        out += std::to_string(buf->total);
-        out += ",\"dropped\":";
-        out += std::to_string(buf->total - held);
-        out += "}}";
+        out += ",\"name\":\"ring\",\"args\":{";
+        appendRingArgs(out, buf->sim);
+        out += ",\"host\":{";
+        appendRingArgs(out, buf->host);
+        out += "}}}";
     }
     for (const auto &buf : buffers) {
-        const size_t size = buf->ring.size();
-        const uint64_t held = std::min<uint64_t>(buf->total, size);
-        // Oldest surviving event first: when the ring has wrapped the
-        // write head is also the oldest slot.
-        const uint64_t start = buf->total - held;
-        for (uint64_t i = 0; i < held; ++i) {
-            appendEvent(out, buf->ring[(start + i) % size], buf->tid,
-                        first);
+        for (const Ring *ring : {&buf->host, &buf->sim}) {
+            // Oldest surviving event first: when the ring has wrapped
+            // the write head is also the oldest slot.
+            const size_t size = ring->events.size();
+            const uint64_t start = ring->dropped();
+            for (uint64_t i = 0; i < ring->held(); ++i)
+                appendEvent(out, ring->events[(start + i) % size], buf->tid,
+                            first);
         }
     }
     out += "\n]}\n";
@@ -554,10 +598,8 @@ void
 clearTimeline()
 {
     std::lock_guard<std::mutex> lock(registryMutex);
-    for (auto &buf : buffers) {
-        buf->ring.assign(std::max<size_t>(ringCap, 16), TraceEvent{});
-        buf->total = 0;
-    }
+    for (auto &buf : buffers)
+        buf->reset(std::max<size_t>(ringCap, 16));
 }
 
 TimelineCounts
@@ -567,9 +609,10 @@ timelineCounts()
     std::lock_guard<std::mutex> lock(registryMutex);
     counts.threads = buffers.size();
     for (const auto &buf : buffers) {
-        uint64_t held = std::min<uint64_t>(buf->total, buf->ring.size());
-        counts.recorded += held;
-        counts.dropped += buf->total - held;
+        for (const Ring *ring : {&buf->sim, &buf->host}) {
+            counts.recorded += ring->held();
+            counts.dropped += ring->dropped();
+        }
     }
     return counts;
 }

@@ -8,7 +8,8 @@
  *    buffers (no locks, no allocation after the ring fills; when a ring
  *    wraps, the oldest events are overwritten and counted as dropped)
  *    and exports them as Chrome trace-event JSON loadable in Perfetto
- *    or chrome://tracing.
+ *    or chrome://tracing. Each thread has one ring per clock domain, so
+ *    per-instruction simulated events never wrap away a host span.
  *  - The **text** sink prints one line per simulated-domain event,
  *    stamped with the event's own tick:
  *
@@ -39,7 +40,8 @@
  *     ... run ...
  *     obs::finish();   // writes the Chrome trace JSON
  *
- * DLP_TIMELINE_CAP=N sets the per-thread ring capacity in events.
+ * DLP_TIMELINE_CAP=N sets the per-thread simulated-domain ring capacity
+ * in events; each thread's host-domain ring holds 4096.
  *
  * Clock domains map to Chrome trace *processes*: pid 1 is simulated
  * time (one "microsecond" per tick), pid 2 is host wall time; each
@@ -151,8 +153,9 @@ void parseCatList(const std::string &list, Sink s = ringSink);
 void setTextStream(std::ostream *os);
 
 /**
- * Per-thread ring capacity in events for buffers created (or cleared)
- * from now on. Power of two not required. Minimum 16.
+ * Per-thread simulated-domain ring capacity in events for buffers
+ * created (or cleared) from now on. Power of two not required. Minimum
+ * 16.
  */
 void setRingCapacity(size_t events);
 size_t ringCapacity();
@@ -223,8 +226,9 @@ class HostSpan
 
 /**
  * Serialize everything recorded so far as a Chrome trace JSON text,
- * with one "ring" metadata record per thread buffer giving its
- * capacity and the events written to and dropped from it.
+ * with one "ring" metadata record per thread giving its simulated-domain
+ * ring's capacity and the events written to and dropped from it, and
+ * the same three figures for its host-domain ring under "host".
  */
 std::string exportChromeJson();
 
@@ -290,9 +294,27 @@ class SignatureHash
 } // namespace dlp::obs
 
 #ifdef DLP_TRACE_DISABLED
-#define OBS_SIM_SPAN(cat, name, ts, dur, arg) do {} while (0)
-#define OBS_SIM_INSTANT(cat, name, ts, arg) do {} while (0)
-#define OBS_SIM_COUNTER(cat, name, ts, value) do {} while (0)
+namespace dlp::obs::detail {
+template <typename... Args>
+inline void discard(const Args &...) {}
+} // namespace dlp::obs::detail
+
+/**
+ * A compiled-out site: its arguments are type-checked and count as
+ * used, so a variable only a site reads draws no warning, but they are
+ * never evaluated.
+ */
+#define OBS_DISCARD_(...)                                                     \
+    do {                                                                      \
+        if (false)                                                            \
+            ::dlp::obs::detail::discard(__VA_ARGS__);                         \
+    } while (0)
+#define OBS_SIM_SPAN(cat, name, ts, dur, arg)                                 \
+    OBS_DISCARD_(::dlp::obs::Cat::cat, name, ts, dur, arg)
+#define OBS_SIM_INSTANT(cat, name, ts, arg)                                   \
+    OBS_DISCARD_(::dlp::obs::Cat::cat, name, ts, arg)
+#define OBS_SIM_COUNTER(cat, name, ts, value)                                 \
+    OBS_DISCARD_(::dlp::obs::Cat::cat, name, ts, value)
 #else
 /**
  * The site-static interning idiom: the lambda gives every expansion its

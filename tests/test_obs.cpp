@@ -24,6 +24,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "driver/sweep.hh"
 #include "noc/mesh.hh"
 #include "obs/sampler.hh"
 #include "obs/timeline.hh"
@@ -184,6 +185,47 @@ TEST(TimelineRing, ExportsDropCountsPerThread)
     }
     EXPECT_EQ(rings, obs::timelineCounts().threads);
     EXPECT_EQ(wrapped, 1u);
+}
+
+/** This thread's "ring" metadata args: the one whose sim ring wrote
+ *  `simWritten` events. */
+const json::Value *
+ringArgsWithSimWritten(const json::Value &doc, double simWritten)
+{
+    for (const auto &ev : doc.at("traceEvents").items())
+        if (ev.at("ph").asString() == "M" &&
+            ev.at("name").asString() == "ring" &&
+            ev.at("args").at("written").asNumber() == simWritten)
+            return &ev.at("args");
+    return nullptr;
+}
+
+TEST(TimelineRing, HostEventsKeepTheirOwnRing)
+{
+    // A flood of simulated instants wraps the simulated-domain ring
+    // many times over; the host spans between them all survive.
+    ObsReset guard;
+    obs::setRingCapacity(16);
+    obs::clearTimeline();
+    obs::setRecording(true);
+    const uint32_t name = obs::internName("flood.ev");
+    for (uint64_t i = 0; i < 1000; ++i) {
+        obs::recordInstant(obs::Cat::Exec, name, obs::Domain::Sim, i, i);
+        if (i % 100 == 0) {
+            obs::HostSpan h(obs::Cat::Driver, "kept.host", {}, i);
+        }
+    }
+    obs::setRecording(false);
+
+    json::Value doc = json::parse(obs::exportChromeJson());
+    EXPECT_EQ(eventsNamed(doc, "kept.host").size(), 10u);
+    EXPECT_EQ(eventsNamed(doc, "flood.ev").size(), 16u);
+    const json::Value *args = ringArgsWithSimWritten(doc, 1000.0);
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->at("dropped").asNumber(), 984.0);
+    EXPECT_EQ(args->at("host").at("written").asNumber(), 10.0);
+    EXPECT_EQ(args->at("host").at("dropped").asNumber(), 0.0);
+    EXPECT_GE(args->at("host").at("capacity").asNumber(), 10.0);
 }
 
 TEST(TimelineSpans, NestingAcrossClockDomains)
@@ -610,4 +652,43 @@ TEST(ObsIntegration, TracingAndSamplingDoNotPerturbResults)
               256.0);
     json::Value plainDoc = analysis::toJson(plain);
     EXPECT_FALSE(plainDoc.has("timeseries"));
+}
+
+
+/**
+ * A traced quick grid at the default ring capacity: its Exec instants
+ * wrap the simulated-domain ring, and every cell span survives in the
+ * host ring.
+ */
+TEST(ObsIntegration, TracedQuickGridKeepsEveryCellSpan)
+{
+    ObsReset guard;
+    setQuietLogging(true);
+    driver::clearResultCache();
+    obs::setRecording(true);
+    analysis::Grid grid = analysis::runGrid(8, 1234, 1);
+    obs::setRecording(false);
+    setQuietLogging(false);
+
+    size_t cells = 0;
+    for (const auto &[kernel, configs] : grid)
+        cells += configs.size();
+    json::Value doc = json::parse(obs::exportChromeJson());
+    std::set<std::string, std::less<>> labels;
+    for (const json::Value *ev : eventsNamed(doc, "cell")) {
+        EXPECT_EQ(ev->at("ph").asString(), "X");
+        labels.insert(std::string(ev->at("args").at("label").asString()));
+    }
+    EXPECT_EQ(labels.size(), cells);
+    EXPECT_EQ(eventsNamed(doc, "cell").size(), cells);
+
+    unsigned simWrapped = 0;
+    for (const auto &ev : doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() != "M" ||
+            ev.at("name").asString() != "ring")
+            continue;
+        EXPECT_EQ(ev.at("args").at("host").at("dropped").asNumber(), 0.0);
+        simWrapped += ev.at("args").at("dropped").asNumber() > 0;
+    }
+    EXPECT_GE(simWrapped, 1u);
 }

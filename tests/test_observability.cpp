@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "analysis/experiments.hh"
 #include "analysis/export.hh"
@@ -525,6 +529,242 @@ TEST(Json, WriterByteExact)
     EXPECT_EQ(json::write(json::Value(1.5), 2), "1.5\n");
     EXPECT_EQ(json::write(json::Value::array(), 0), "[]");
     EXPECT_EQ(json::write(json::Value::object(), 4), "{}\n");
+}
+
+namespace {
+
+template <typename T>
+std::string
+toChars(T v)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/** What the writer prints for a double: integral values below 9e15 as
+ *  an int64, every other finite value in std::to_chars' shortest form. */
+std::string
+doubleText(double d)
+{
+    if (std::fabs(d) < 9.0e15 && double(int64_t(d)) == d)
+        return toChars(int64_t(d));
+    return toChars(d);
+}
+
+/**
+ * Writes `values` as one compact array and checks each item's text
+ * against `expect`, naming the first few mismatches.
+ */
+template <typename T, typename Expect>
+void
+expectItemsMatch(const std::vector<T> &values, Expect expect)
+{
+    json::Value arr = json::Value::array();
+    arr.reserve(values.size());
+    for (T v : values)
+        arr.push(v);
+    const std::string text = json::write(arr, 0);
+    ASSERT_GE(text.size(), 2u);
+    ASSERT_EQ(text.front(), '[');
+    ASSERT_EQ(text.back(), ']');
+    size_t pos = 1;
+    int mismatches = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+        size_t end = text.find(i + 1 < values.size() ? ',' : ']', pos);
+        ASSERT_NE(end, std::string::npos) << "item " << i << " missing";
+        std::string got = text.substr(pos, end - pos);
+        std::string want = expect(values[i]);
+        if (got != want && ++mismatches <= 5)
+            ADD_FAILURE() << "item " << i << ": wrote " << got
+                          << ", std::to_chars gives " << want;
+        pos = end + 1;
+    }
+    EXPECT_EQ(pos, text.size());
+    EXPECT_EQ(mismatches, 0);
+}
+
+} // namespace
+
+TEST(Json, WriterIntegersMatchToChars)
+{
+    // The writer formats integers itself; its bytes must be exactly
+    // std::to_chars', at every digit count and at both ends of each.
+    std::vector<uint64_t> u64{0, 1, std::numeric_limits<uint64_t>::max(),
+                              std::numeric_limits<uint64_t>::max() - 1};
+    std::vector<int64_t> i64{0, -1, 1, std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::min() + 1,
+                             std::numeric_limits<int64_t>::max()};
+    uint64_t p = 1;
+    for (int digits = 1; digits <= 20; ++digits) {
+        for (uint64_t v : {p - 1, p, p + 1}) {
+            u64.push_back(v);
+            if (v <= uint64_t(std::numeric_limits<int64_t>::max())) {
+                i64.push_back(int64_t(v));
+                i64.push_back(-int64_t(v));
+            }
+        }
+        if (digits < 20)
+            p *= 10;
+    }
+    // Powers of two, where the bit width steps.
+    for (int b = 0; b < 64; ++b) {
+        u64.push_back(uint64_t(1) << b);
+        u64.push_back((uint64_t(1) << b) - 1);
+    }
+
+    const double two53 = 9007199254740992.0;
+    std::vector<double> dbl{0.0, -0.0, 1.0, -1.0, two53, -two53,
+                            two53 - 1, -(two53 - 1), two53 + 2,
+                            -(two53 + 2), 9e15, -9e15, 9e15 - 1,
+                            -(9e15 - 1), 9e15 + 1, -(9e15 + 1),
+                            8999999999999999.0, 1e16, 1e17, 1e300};
+
+    // A million more, seeded: every bit width, both signs.
+    std::mt19937_64 rng(24);
+    auto randomWidth = [&rng](unsigned maxBits) {
+        unsigned shift = unsigned(rng() % maxBits);
+        return rng() >> (64 - maxBits + shift);
+    };
+    for (int i = 0; i < 400000; ++i) {
+        u64.push_back(randomWidth(64));
+        int64_t s = int64_t(randomWidth(63));
+        i64.push_back(rng() & 1 ? s : -s - 1);
+        // Integral doubles: exact below 2^53, then sparser, spanning
+        // the 9e15 switch to std::to_chars(double).
+        double d = double(randomWidth(63));
+        dbl.push_back(rng() & 1 ? d : -d);
+    }
+
+    expectItemsMatch(u64, [](uint64_t v) { return toChars(v); });
+    expectItemsMatch(i64, [](int64_t v) { return toChars(v); });
+    expectItemsMatch(dbl, doubleText);
+}
+
+namespace {
+
+/**
+ * An independent serializer for documents of plain keys, integers,
+ * bools and escape-free strings: std::to_string for numbers, an
+ * explicit newline and indentation per line.
+ */
+void
+referenceWrite(std::string &out, const json::Value &v, unsigned indent,
+               unsigned depth)
+{
+    auto line = [&](unsigned level) {
+        if (indent) {
+            out += '\n';
+            out.append(size_t(indent) * level, ' ');
+        }
+    };
+    switch (v.kind()) {
+      case json::Value::Kind::Number:
+        out += v.numRep() == json::Value::NumRep::UInt64
+                   ? std::to_string(v.asUInt64())
+                   : std::to_string(v.asInt64());
+        break;
+      case json::Value::Kind::Bool:
+        out += v.asBool() ? "true" : "false";
+        break;
+      case json::Value::Kind::String:
+        out += '"';
+        out += v.asString();
+        out += '"';
+        break;
+      case json::Value::Kind::Array:
+        out += '[';
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (i)
+                out += ',';
+            line(depth + 1);
+            referenceWrite(out, v.at(i), indent, depth + 1);
+        }
+        if (v.size())
+            line(depth);
+        out += ']';
+        break;
+      case json::Value::Kind::Object: {
+        out += '{';
+        size_t i = 0;
+        for (const json::Member &m : v.members()) {
+            if (i++)
+                out += ',';
+            line(depth + 1);
+            out += '"';
+            out += m.key();
+            out += indent ? "\": " : "\":";
+            referenceWrite(out, m.value(), indent, depth + 1);
+        }
+        if (v.size())
+            line(depth);
+        out += '}';
+        break;
+      }
+      case json::Value::Kind::Null:
+        out += "null";
+        break;
+    }
+}
+
+} // namespace
+
+TEST(Json, WriterSpansManyChunks)
+{
+    // Several MiB of output cross every output chunk size; the blob is
+    // longer than the largest chunk, and the nesting reaches lines both
+    // shorter and longer than the writer's one-copy indentation.
+    std::mt19937_64 rng(7);
+    json::Value doc = json::Value::object();
+    json::Value counts = json::Value::array();
+    for (int i = 0; i < 200000; ++i) {
+        uint64_t v = rng();
+        v >>= v % 64;
+        if (i % 3 == 0)
+            counts.push(-int64_t(v >> 1));
+        else
+            counts.push(v);
+    }
+    doc.set("counts", std::move(counts));
+    json::Value rows = json::Value::array();
+    for (int i = 0; i < 4000; ++i) {
+        json::Value row = json::Value::object();
+        row.set("id", uint64_t(i));
+        row.set("even", i % 2 == 0);
+        row.set("empty", i % 5 ? json::Value::array() : json::Value::object());
+        json::Value nest = json::Value(uint64_t(rng()));
+        for (int level = 0; level < i % 16; ++level) {
+            json::Value wrap = level % 2 ? json::Value::array()
+                                         : json::Value::object();
+            if (level % 2)
+                wrap.push(std::move(nest));
+            else
+                wrap.set("in", std::move(nest));
+            nest = std::move(wrap);
+        }
+        row.set("nest", std::move(nest));
+        rows.push(std::move(row));
+    }
+    doc.set("rows", std::move(rows));
+    std::string blob(1536 * 1024 + 7, 'x');
+    for (size_t i = 0; i < blob.size(); i += 4093)
+        blob[i] = char('a' + i % 26);
+    doc.set("blob", blob);
+    doc.set("last", -1);
+
+    for (unsigned indent : {0u, 2u, 4u}) {
+        std::string expect;
+        referenceWrite(expect, doc, indent, 0);
+        if (indent)
+            expect += '\n';
+        const std::string text = json::write(doc, indent);
+        EXPECT_GT(text.size(), size_t(3) << 20);
+        ASSERT_EQ(text.size(), expect.size()) << "indent " << indent;
+        // One comparison, reported by offset rather than by dumping MiB.
+        auto diff = std::mismatch(text.begin(), text.end(), expect.begin());
+        EXPECT_EQ(diff.first, text.end())
+            << "indent " << indent << ": first difference at byte "
+            << (diff.first - text.begin());
+    }
 }
 
 TEST(Json, SurrogatePairDecodesToOneCodePoint)
