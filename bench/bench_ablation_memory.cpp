@@ -13,6 +13,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -32,8 +33,9 @@ run(const core::MachineParams &m, const char *kernel)
 }
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
 
     std::cout << "Ablation: SMC words/cycle (config S)\n\n";

@@ -14,6 +14,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -33,8 +34,9 @@ run(const core::MachineParams &m, const char *kernel)
 }
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
 
     std::cout << "Ablation: mesh hop delay (config S-O)\n\n";

@@ -16,6 +16,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -24,8 +25,9 @@ using namespace dlp::analysis;
 namespace {
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
     std::cout << "Ablation: frame storage vs throughput (config S-O)\n\n";
 

@@ -13,9 +13,7 @@
  *  - md5/blowfish/rijndael/vertex-skinning prefer M-D,
  *  - Flexible beats fixed S by ~55%, fixed S-O by ~20%, fixed M-D by ~5%.
  *
- * Usage: bench_figure5 [--quick] [--jobs N] [--audit] [--check]
- *                      [--store=DIR] [--trace-out=FILE] [--timeseries=N]
- *                      [--fast-forward | --no-fast-forward] [--help]
+ * `bench_figure5 --help` lists the options.
  * --quick divides every kernel's scale by 8; --jobs (or DLP_JOBS) runs
  * the grid's cells concurrently on the sweep driver.
  * --audit (or DLP_AUDIT=1) evaluates the conservation invariants on
@@ -35,9 +33,6 @@
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "analysis/experiments.hh"
@@ -45,71 +40,33 @@
 #include "analysis/report.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
-#include "check/verify.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/sweep.hh"
 #include "epoch/epoch.hh"
 #include "obs/timeline.hh"
-#include "verify/audit.hh"
 
 using namespace dlp;
 using namespace dlp::analysis;
 
 namespace {
 
-/// The Usage block of the header comment, printed by --help.
-const char *const usage =
-    "Usage: bench_figure5 [--quick] [--jobs N] [--audit] [--check]\n"
-    "                     [--store=DIR] [--trace-out=FILE] [--timeseries=N]\n"
-    "                     [--fast-forward | --no-fast-forward] [--help]\n";
-
 int
 run(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
-    unsigned jobs = 0; // 0 = DLP_JOBS environment default
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(usage, stdout);
-            return 0;
-        } else if (std::strcmp(argv[i], "--quick") == 0)
-            scaleDiv = 8;
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            jobs = driver::JobPool::parseJobsFlag(value(i));
-        else if (std::strcmp(argv[i], "--audit") == 0)
-            verify::setAuditEnabled(true);
-        else if (std::strcmp(argv[i], "--check") == 0)
-            check::setCheckEnabled(true);
-        else if (std::strcmp(argv[i], "--fast-forward") == 0)
-            epoch::setFastForwardEnabled(true);
-        else if (std::strcmp(argv[i], "--no-fast-forward") == 0)
-            epoch::setFastForwardEnabled(false);
-        else if (std::strncmp(argv[i], "--store=", 8) == 0)
-            driver::setDefaultStoreDir(argv[i] + 8);
-        else if (std::strcmp(argv[i], "--store") == 0)
-            driver::setDefaultStoreDir(value(i));
-        else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            obs::setOutputPath(argv[i] + 12);
-            obs::setRecording(true);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            obs::setOutputPath(value(i));
-            obs::setRecording(true);
-        } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", argv[i] + 13));
-        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", value(i)));
-        } else {
-            usage_error("unknown option '%s' (see --help)", argv[i]);
-        }
-    }
-    unsigned effectiveJobs = jobs ? jobs : driver::JobPool::defaultWorkers();
+    driver::SweepOptions opts;
+    driver::Cli cli({
+        {"--quick", nullptr, "divide every kernel's scale by 8",
+         [&](auto, auto &) { scaleDiv = 8; }},
+        {"--fast-forward", nullptr, "fast-forward steady state (the default)",
+         [](auto, auto &) { epoch::setFastForwardEnabled(true); }},
+        {"--no-fast-forward", nullptr, "simulate every event",
+         [](auto, auto &) { epoch::setFastForwardEnabled(false); }},
+    });
+    cli.add(driver::gridOptions(opts));
+    cli.parse(argc, argv);
+    unsigned effectiveJobs = driver::effectiveJobs(opts);
 
     std::cout << "Table 5: machine configurations\n";
     TextTable t5;
@@ -128,7 +85,7 @@ run(int argc, char **argv)
               << (scaleDiv > 1 ? " [quick mode]" : "") << "...\n\n";
 
     auto t0 = std::chrono::steady_clock::now();
-    Grid grid = runGrid(scaleDiv, 1234, effectiveJobs);
+    Grid grid = runGrid(scaleDiv, 1234, opts);
     double wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -15,6 +15,7 @@
 #include "analysis/attributes.hh"
 #include "analysis/report.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 
 using namespace dlp;
 using namespace dlp::analysis;
@@ -57,8 +58,9 @@ paperTable2()
 }
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
     std::cout << "Table 2: benchmark attributes (ours vs. paper)\n\n";
 

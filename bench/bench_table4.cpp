@@ -7,9 +7,7 @@
  * the irregular/control-heavy kernels the lowest -- is the claim under
  * test; absolute values depend on the authors' simulator internals.
  *
- * Usage: bench_table4 [--quick] [--jobs N] [--audit] [--check]
- *                     [--store=DIR] [--trace-out=FILE] [--timeseries=N]
- *                     [--fast-forward | --no-fast-forward] [--help]
+ * `bench_table4 --help` lists the options.
  * The 13 baseline simulations are independent; --jobs (or DLP_JOBS)
  * runs them concurrently on the sweep driver. --audit (or DLP_AUDIT=1)
  * checks every run against the conservation invariants and fails the
@@ -23,9 +21,6 @@
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <vector>
@@ -33,24 +28,16 @@
 #include "analysis/experiments.hh"
 #include "analysis/export.hh"
 #include "analysis/report.hh"
-#include "check/verify.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/sweep.hh"
 #include "epoch/epoch.hh"
 #include "obs/timeline.hh"
-#include "verify/audit.hh"
 
 using namespace dlp;
 using namespace dlp::analysis;
 
 namespace {
-
-/// The Usage block of the header comment, printed by --help.
-const char *const usage =
-    "Usage: bench_table4 [--quick] [--jobs N] [--audit] [--check]\n"
-    "                    [--store=DIR] [--trace-out=FILE] [--timeseries=N]\n"
-    "                    [--fast-forward | --no-fast-forward] [--help]\n";
 
 int
 run(int argc, char **argv)
@@ -58,46 +45,16 @@ run(int argc, char **argv)
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
     driver::SweepOptions opts;
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(usage, stdout);
-            return 0;
-        } else if (std::strcmp(argv[i], "--quick") == 0)
-            scaleDiv = 8;
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
-        else if (std::strcmp(argv[i], "--audit") == 0)
-            verify::setAuditEnabled(true);
-        else if (std::strcmp(argv[i], "--check") == 0)
-            check::setCheckEnabled(true);
-        else if (std::strcmp(argv[i], "--fast-forward") == 0)
-            epoch::setFastForwardEnabled(true);
-        else if (std::strcmp(argv[i], "--no-fast-forward") == 0)
-            epoch::setFastForwardEnabled(false);
-        else if (std::strncmp(argv[i], "--store=", 8) == 0)
-            opts.storeDir = argv[i] + 8;
-        else if (std::strcmp(argv[i], "--store") == 0)
-            opts.storeDir = value(i);
-        else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            obs::setOutputPath(argv[i] + 12);
-            obs::setRecording(true);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            obs::setOutputPath(value(i));
-            obs::setRecording(true);
-        } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", argv[i] + 13));
-        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", value(i)));
-        } else {
-            usage_error("unknown option '%s' (see --help)", argv[i]);
-        }
-    }
+    driver::Cli cli({
+        {"--quick", nullptr, "divide every kernel's scale by 8",
+         [&](auto, auto &) { scaleDiv = 8; }},
+        {"--fast-forward", nullptr, "fast-forward steady state (the default)",
+         [](auto, auto &) { epoch::setFastForwardEnabled(true); }},
+        {"--no-fast-forward", nullptr, "simulate every event",
+         [](auto, auto &) { epoch::setFastForwardEnabled(false); }},
+    });
+    cli.add(driver::gridOptions(opts));
+    cli.parse(argc, argv);
 
     static const std::map<std::string, double> paper = {
         {"convert", 14.1},          {"dct", 10.4},

@@ -13,49 +13,34 @@
  * reference's frequency is the paper's step we cannot reproduce without
  * its cycle-time model).
  *
- * Usage: bench_table6 [--quick] [--jobs N] [--help]
+ * `bench_table6 --help` lists the options.
  * --quick divides every kernel's scale by 8; --jobs (or DLP_JOBS) runs
  * the simulations concurrently on the sweep driver.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "analysis/experiments.hh"
 #include "analysis/report.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 
 using namespace dlp;
 using namespace dlp::analysis;
 
 namespace {
 
-/// The Usage block of the header comment, printed by --help.
-const char *const usage =
-    "Usage: bench_table6 [--quick] [--jobs N] [--help]\n";
-
 int
 run(int argc, char **argv)
 {
     setQuietLogging(true);
     uint64_t scaleDiv = 1;
-    unsigned jobs = 0; // 0 = DLP_JOBS environment default
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            std::fputs(usage, stdout);
-            return 0;
-        } else if (std::strcmp(argv[i], "--quick") == 0) {
-            scaleDiv = 8;
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            usage_error_if(i + 1 >= argc, "--jobs needs an argument");
-            jobs = driver::JobPool::parseJobsFlag(argv[++i]);
-        } else {
-            usage_error("unknown option '%s' (see --help)", argv[i]);
-        }
-    }
+    driver::SweepOptions opts;
+    driver::Cli({
+        {"--quick", nullptr, "divide every kernel's scale by 8",
+         [&](auto, auto &) { scaleDiv = 8; }},
+        driver::jobsOption(opts.jobs),
+    }).parse(argc, argv);
 
     struct Row
     {
@@ -93,7 +78,7 @@ run(int argc, char **argv)
     };
 
     std::cout << "Running best-configuration experiments...\n\n";
-    Grid grid = runGrid(scaleDiv, 1234, jobs);
+    Grid grid = runGrid(scaleDiv, 1234, opts);
 
     std::cout << "Table 6: configurable TRIPS vs. specialized hardware\n\n";
     TextTable t;

@@ -13,16 +13,7 @@
  *   ./build/examples/cost_report --json COST.json
  *   ./build/examples/cost_report --validate --scale-div 8 --jobs 4
  *
- * Options:
- *   --kernels a,b,...   kernel names (default: all of Table 1)
- *   --configs a,b,...   configuration names (default: all of Table 5)
- *   --json FILE         write the report as a JSON document
- *   --validate          also simulate the grid and cross-check
- *   --min-spearman X    per-kernel rank-correlation floor (default 0.9)
- *   --scale-div N       shrink the simulated problem sizes (default 8)
- *   --seed N            dataset seed for the simulated grid
- *   --jobs N            sweep worker threads (default: DLP_JOBS, else 1;
- *                       0 = one per hardware thread)
+ * `cost_report --help` lists the options.
  *
  * Exit status: 0 on success; 1 when --validate finds a bound violation
  * or a kernel below the rank-correlation floor; 2 on a bad command
@@ -32,7 +23,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,7 +33,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "cost/cost.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/sweep.hh"
 #include "kernels/catalog.hh"
 #include "verify/cost_invariants.hh"
@@ -56,8 +46,8 @@ int
 run(int argc, char **argv)
 {
     setQuietLogging(true);
-    std::vector<std::string> kernelNames;
-    std::vector<std::string> configNames;
+    std::vector<std::string> kernelNames = kernels::kernelNames();
+    std::vector<std::string> configNames = arch::allConfigNames();
     std::string jsonPath;
     bool validate = false;
     double minSpearman = 0.9;
@@ -65,47 +55,25 @@ run(int argc, char **argv)
     uint64_t seed = 1234;
     unsigned jobs = 0;
 
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernels") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                kernelNames = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--configs") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                configNames = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = value(i);
-        } else if (std::strcmp(argv[i], "--validate") == 0) {
-            validate = true;
-        } else if (std::strcmp(argv[i], "--min-spearman") == 0) {
-            minSpearman =
-                driver::parseRealFlag("--min-spearman", value(i), -1.0, 1.0);
-        } else if (std::strcmp(argv[i], "--scale-div") == 0) {
-            scaleDiv = driver::parseUintFlag("--scale-div", value(i));
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            seed = driver::parseUintFlag("--seed", value(i));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = driver::JobPool::parseJobsFlag(value(i));
-        } else {
-            usage_error("unknown option '%s' (see the header of "
-                        "examples/cost_report.cpp)", argv[i]);
-        }
-    }
-    if (configNames.empty())
-        configNames = arch::allConfigNames();
+    driver::Cli({
+        driver::kernelsOption(kernelNames, "all of Table 1"),
+        driver::configsOption(configNames, "all of Table 5"),
+        {"--json", "FILE", "write the report as a JSON document",
+         driver::setString(jsonPath)},
+        {"--validate", nullptr, "also simulate the grid and cross-check",
+         driver::setFlag(validate)},
+        {"--min-spearman", "X", "rank-correlation floor (default: 0.9)",
+         driver::setReal(minSpearman, -1.0, 1.0)},
+        {"--scale-div", "N", "shrink simulated problems (default: 8)",
+         driver::setUint(scaleDiv)},
+        {"--seed", "N", "dataset seed of the grid (default: 1234)",
+         driver::setUint(seed)},
+        driver::jobsOption(jobs),
+    }).parse(argc, argv);
 
     std::vector<kernels::Kernel> kernelSet;
-    if (kernelNames.empty()) {
-        kernelSet = kernels::allKernels();
-    } else {
-        for (const auto &n : kernelNames)
-            kernelSet.push_back(kernels::kernelByName(n));
-    }
+    for (const auto &n : kernelNames)
+        kernelSet.push_back(kernels::kernelByName(n));
 
     // --- Static predictions (no simulation) -----------------------------
     using json::Value;
@@ -179,10 +147,7 @@ run(int argc, char **argv)
     Value jvalidation = Value::object();
     if (validate) {
         driver::SweepPlan plan;
-        std::vector<std::string> names;
-        for (const auto &k : kernelSet)
-            names.push_back(k.name);
-        plan.addGrid(names, configNames, scaleDiv, seed);
+        plan.addGrid(kernelNames, configNames, scaleDiv, seed);
         driver::SweepOptions opts;
         opts.jobs = jobs;
         std::vector<arch::ExperimentResult> results =

@@ -16,6 +16,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -23,8 +24,9 @@ using namespace dlp;
 namespace {
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
     const uint64_t packets = 1024; // 16-byte blocks
 

@@ -14,21 +14,21 @@
  *   ./build/examples/explore_configs blowfish
  *   ./build/examples/explore_configs vertex-skinning 4096 --jobs 4
  *   ./build/examples/explore_configs md5 --json md5.json
+ *
+ * `explore_configs --help` lists the arguments and options.
  */
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/sweep.hh"
+#include "kernels/catalog.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -43,23 +43,20 @@ run(int argc, char **argv)
     std::string jsonPath;
     uint64_t scale = 0;
     driver::SweepOptions opts;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            usage_error_if(i + 1 >= argc, "--json needs a file argument");
-            jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            usage_error_if(i + 1 >= argc, "--jobs needs a worker count");
-            opts.jobs = driver::JobPool::parseJobsFlag(argv[++i]);
-        } else {
-            positional.push_back(argv[i]);
-        }
-    }
-    if (!positional.empty())
-        kernel = positional[0];
-    scale = positional.size() > 1
-                ? driver::parseUintFlag("scale", positional[1])
-                : kernels::defaultScale(kernel);
+    driver::Cli({
+        {"kernel", nullptr, "the kernel to explore (default: blowfish)",
+         [&](auto name, auto &v) {
+             driver::checkName(name, v, kernels::kernelNames());
+             kernel = v;
+         }},
+        {"scale", nullptr, "problem scale (default or 0: the kernel's)",
+         driver::setUint(scale)},
+        {"--json", "FILE", "write the results as a JSON document",
+         driver::setString(jsonPath)},
+        driver::jobsOption(opts.jobs),
+    }).parse(argc, argv);
+    if (!scale)
+        scale = kernels::defaultScale(kernel);
 
     std::printf("exploring machine configurations for '%s' "
                 "(scale %" PRIu64 ", %u workers)\n\n",

@@ -12,38 +12,21 @@
  *   ./build/examples/fuzz_ir --seeds 1..200
  *   ./build/examples/fuzz_ir --seed 42 --configs S-O-D,M-D
  *
- * Options:
- *   --seed N / --seeds a..b  seed or seed list/range (default 1..20)
- *   --configs a,b,...        Table 5 config names (default: all)
- *   --records N              records per generated batch (default 24)
- *   --nodes N                random compute-node budget (default 24)
- *   --loops N                loop constructs to attempt (default 2)
- *   --no-tables / --no-wide / --no-cached / --no-scratch
- *                            disable a generator feature (shrinker flags)
- *   --no-audit               skip the invariant auditor
- *   --static-check           cross-validate the static verifier: every
- *                            dynamically diverging case must trip a
- *                            static rule or is logged as a coverage
- *                            gap; static errors on dynamically clean
- *                            cases are failures (kind "static")
- *   --fast-forward           differential epoch fast-forwarding: run
- *                            every case with the fast-forwarder off and
- *                            on and require bit-identical results
- *                            (failures have kind "fastforward")
- *   --cost                   cross-validate the static cost model: the
- *                            model's lower bound on total ticks must
- *                            hold on every run (failures have kind
- *                            "cost" and shrink/replay as usual)
- *   --json FILE              write counterexamples as JSON
+ * `fuzz_ir --help` lists the options: the seeds and configurations,
+ * the generator knobs the shrinker turns (--records, --nodes, --loops,
+ * --no-tables, ...), and the cross-checks. --static-check requires
+ * every dynamically diverging case to trip a static rule (else it is
+ * logged as a coverage gap) and fails static errors on clean cases
+ * (kind "static"); --fast-forward runs every case with the
+ * fast-forwarder off and on and requires bit-identical results (kind
+ * "fastforward"); --cost requires the cost model's lower bound on
+ * total ticks to hold on every run (kind "cost").
  *
  * Exit status: 0 when every (seed, config) run matches the oracle and
  * audits clean, 1 otherwise, 2 on a bad command line.
  */
 
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -51,7 +34,7 @@
 #include "arch/configs.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "verify/fuzz.hh"
 
 using namespace dlp;
@@ -92,58 +75,43 @@ run(int argc, char **argv)
     std::string jsonPath;
     bool dump = false;
 
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
+    auto addSeeds = [&](const char *name, const std::string &v) {
+        auto more = driver::parseUintListFlag(name, v, 100000);
+        seeds.insert(seeds.end(), more.begin(), more.end());
     };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 ||
-            std::strcmp(argv[i], "--seeds") == 0) {
-            const char *flag = argv[i];
-            auto more = driver::parseUintListFlag(flag, value(i), 100000);
-            seeds.insert(seeds.end(), more.begin(), more.end());
-        } else if (std::strcmp(argv[i], "--configs") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                base.configs = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--records") == 0) {
-            base.records = unsigned(
-                driver::parseUintFlag("--records", value(i), UINT_MAX));
-        } else if (std::strcmp(argv[i], "--nodes") == 0) {
-            base.nodeBudget = unsigned(
-                driver::parseUintFlag("--nodes", value(i), UINT_MAX));
-        } else if (std::strcmp(argv[i], "--loops") == 0) {
-            base.loops = unsigned(
-                driver::parseUintFlag("--loops", value(i), UINT_MAX));
-        } else if (std::strcmp(argv[i], "--no-tables") == 0) {
-            base.tables = false;
-        } else if (std::strcmp(argv[i], "--no-wide") == 0) {
-            base.wideLoads = false;
-        } else if (std::strcmp(argv[i], "--no-cached") == 0) {
-            base.cachedLoads = false;
-        } else if (std::strcmp(argv[i], "--no-scratch") == 0) {
-            base.scratch = false;
-        } else if (std::strcmp(argv[i], "--no-audit") == 0) {
-            base.audit = false;
-        } else if (std::strcmp(argv[i], "--static-check") == 0) {
-            base.staticCheck = true;
-        } else if (std::strcmp(argv[i], "--fast-forward") == 0) {
-            base.ffDiff = true;
-        } else if (std::strcmp(argv[i], "--cost") == 0) {
-            base.cost = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = value(i);
-        } else if (std::strcmp(argv[i], "--dump") == 0) {
-            dump = true;
-        } else {
-            usage_error("unknown option '%s' (see the header of "
-                        "examples/fuzz_ir.cpp)", argv[i]);
-        }
-    }
+    driver::Cli({
+        {"--seed", "N", "add a seed, like --seeds", addSeeds},
+        {"--seeds", "a,b|a..b", "seeds (default: 1..20)", addSeeds},
+        driver::configsOption(base.configs, "all"),
+        {"--records", "N", "records per generated batch (default: 24)",
+         driver::setUint(base.records)},
+        {"--nodes", "N", "random compute-node budget (default: 24)",
+         driver::setUint(base.nodeBudget)},
+        {"--loops", "N", "loop constructs to attempt (default: 2)",
+         driver::setUint(base.loops)},
+        {"--no-tables", nullptr, "generate no lookup-table loads",
+         driver::setFlag(base.tables, false)},
+        {"--no-wide", nullptr, "generate no wide input fetches",
+         driver::setFlag(base.wideLoads, false)},
+        {"--no-cached", nullptr, "generate no irregular (cached) loads",
+         driver::setFlag(base.cachedLoads, false)},
+        {"--no-scratch", nullptr, "generate no scratch staging",
+         driver::setFlag(base.scratch, false)},
+        {"--no-audit", nullptr, "skip the invariant auditor",
+         driver::setFlag(base.audit, false)},
+        {"--static-check", nullptr, "cross-validate the static verifier",
+         driver::setFlag(base.staticCheck)},
+        {"--fast-forward", nullptr, "diff fast-forwarding off against on",
+         driver::setFlag(base.ffDiff)},
+        {"--cost", nullptr, "check the cost model's lower bound on ticks",
+         driver::setFlag(base.cost)},
+        {"--json", "FILE", "write the counterexamples as JSON",
+         driver::setString(jsonPath)},
+        {"--dump", nullptr, "print each seed's kernel and exit",
+         driver::setFlag(dump)},
+    }).parse(argc, argv);
     if (seeds.empty())
         seeds = driver::parseUintListFlag("--seeds", "1..20");
-    for (const auto &c : base.configs)
-        (void)arch::configByName(c);
 
     if (dump) {
         for (uint64_t seed : seeds) {

@@ -14,13 +14,7 @@
  * static cost model and appends its PERF-* advisories (performance
  * hints, never correctness issues) to the same report.
  *
- * Options:
- *   --kernels a,b,...  kernel names (default: all of Table 1)
- *   --configs a,b,...  Table 5 configuration names (default: all)
- *   --json FILE        write the findings as a JSON document
- *   --fail-on LEVEL    error (default), warning, or advisory: the
- *                      least severe finding class that fails the run
- *   --verbose          also print per-program one-line status
+ * `lint_ir --help` lists the options.
  *
  * Exit status: 0 pass; 1 Error findings; 2 Warning findings when
  * --fail-on=warning or stricter; 3 Advisory findings when
@@ -30,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,7 +34,7 @@
 #include "check/verify.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "cost/cost.hh"
 #include "kernels/catalog.hh"
 
@@ -53,51 +46,29 @@ int
 run(int argc, char **argv)
 {
     setQuietLogging(true);
-    std::vector<std::string> kernelNames;
-    std::vector<std::string> configNames;
+    std::vector<std::string> kernelNames = kernels::kernelNames();
+    std::vector<std::string> configNames = arch::allConfigNames();
     std::string jsonPath;
     std::string failOn = "error";
     bool verbose = false;
 
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernels") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                kernelNames = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--configs") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                configNames = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = value(i);
-        } else if (std::strcmp(argv[i], "--fail-on") == 0 ||
-                   std::strncmp(argv[i], "--fail-on=", 10) == 0) {
-            failOn = argv[i][9] == '=' ? argv[i] + 10 : value(i);
-            usage_error_if(failOn != "error" && failOn != "warning" &&
-                               failOn != "advisory",
-                           "--fail-on takes error, warning or advisory, "
-                           "not '%s'", failOn.c_str());
-        } else if (std::strcmp(argv[i], "--verbose") == 0) {
-            verbose = true;
-        } else {
-            usage_error("unknown option '%s' (see the header of "
-                        "examples/lint_ir.cpp)", argv[i]);
-        }
-    }
-    if (configNames.empty())
-        configNames = arch::allConfigNames();
+    driver::Cli({
+        driver::kernelsOption(kernelNames, "all of Table 1"),
+        driver::configsOption(configNames, "all"),
+        {"--json", "FILE", "write the findings as a JSON document",
+         driver::setString(jsonPath)},
+        {"--fail-on", "LEVEL", "error (default), warning or advisory",
+         [&](auto name, auto &v) {
+             driver::checkName(name, v, {"error", "warning", "advisory"});
+             failOn = v;
+         }},
+        {"--verbose", nullptr, "also print per-program one-line status",
+         driver::setFlag(verbose)},
+    }).parse(argc, argv);
 
     std::vector<kernels::Kernel> kernelSet;
-    if (kernelNames.empty()) {
-        kernelSet = kernels::allKernels();
-    } else {
-        for (const auto &n : kernelNames)
-            kernelSet.push_back(kernels::kernelByName(n));
-    }
+    for (const auto &n : kernelNames)
+        kernelSet.push_back(kernels::kernelByName(n));
 
     size_t programs = 0, blocks = 0, insts = 0;
     size_t errors = 0, warnings = 0, advisories = 0;

@@ -18,6 +18,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "common/random.hh"
 #include "isa/opcodes.hh"
 #include "kernels/interp.hh"
@@ -98,8 +99,9 @@ class SaxpyWorkload : public Workload
 };
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
     const double a = 2.5;
 

@@ -17,6 +17,7 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "common/logging.hh"
+#include "driver/cli.hh"
 #include "kernels/workload.hh"
 
 using namespace dlp;
@@ -40,8 +41,9 @@ runStage(const char *stage, const char *kernel, const char *config,
 }
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    driver::Cli().parse(argc, argv);
     setQuietLogging(true);
     const uint64_t vertices = 2048;
     const uint64_t fragments = 4096;

@@ -11,35 +11,9 @@
  *       --mix convert:2,md5,fft
  *   ./build/examples/serve_bench --cores 1,2,4,8 --json SERVE.json
  *
- * Options:
- *   --cores a,b,...   core counts to serve with (default: 1,2,4,8)
- *   --rps R           offered load, requests per second (default: 2000)
- *   --requests N      requests per run (default: 256)
- *   --batch N         records per request — the per-request problem
- *                     scale; must be valid for every mix kernel, e.g. a
- *                     power of two for fft (default: 256)
- *   --mix spec        comma-separated kernel[:weight] entries
- *                     (default: convert:2,md5,fft)
- *   --config NAME     machine configuration per core (default: S-O-D)
- *   --arrival a       arrival discipline: uniform | poisson
- *                     (default: uniform)
- *   --seed S          schedule + dataset seed (default: 1)
- *   --seed-pool P     distinct dataset seeds cycled per kernel
- *                     (default: 2)
- *   --bandwidth W     shared L2/SMC bandwidth, words per tick
- *                     (default: one core's worth of SMC banks)
- *   --jobs N          worker threads for the profile sweep (default:
- *                     DLP_JOBS, else 1; 0 = one per hardware thread)
- *   --json FILE       output path (default: SERVE.json)
- *   --store DIR       persistent result store: profile runs and the
- *                     service documents land under their
- *                     content-addressed keys (also: DLP_STORE=DIR)
- *   --no-cache        bypass the process-wide result cache
- *   --audit           check the multi-core conservation laws (also:
- *                     DLP_AUDIT=1); violations exit nonzero
- *   --timeseries N    sample queue depth / flows every N simulated
- *                     ticks into the "timeseries" JSON object
- *   --quiet           suppress the per-run progress lines
+ * `serve_bench --help` lists the options and their defaults. --batch,
+ * the records per request, is the per-request problem scale and must
+ * be valid for every mix kernel (a power of two for fft).
  *
  * Every run is bit-reproducible from its flags: same seed and
  * parameters give byte-identical JSON, independent of --jobs.
@@ -47,16 +21,15 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/service.hh"
+#include "driver/sweep.hh"
 #include "kernels/catalog.hh"
 #include "store/key.hh"
 #include "store/result_store.hh"
@@ -75,71 +48,55 @@ run(int argc, char **argv)
     opts.traffic.rps = 2000.0;
     opts.traffic.mix = traffic::parseMix("convert:2,md5,fft");
     std::string jsonPath = "SERVE.json";
-    std::string storeDir;
     bool quiet = false;
-    if (const char *env = std::getenv("DLP_STORE"); env && *env)
-        storeDir = env;
 
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cores") == 0) {
-            coreCounts = driver::parseUintListFlag("--cores", value(i));
-        } else if (std::strcmp(argv[i], "--rps") == 0) {
-            opts.traffic.rps = driver::parseRealFlag("--rps", value(i));
-        } else if (std::strcmp(argv[i], "--requests") == 0) {
-            opts.traffic.requests =
-                driver::parseUintFlag("--requests", value(i));
-        } else if (std::strcmp(argv[i], "--batch") == 0) {
-            opts.traffic.batch = driver::parseUintFlag("--batch", value(i));
-        } else if (std::strcmp(argv[i], "--mix") == 0) {
-            opts.traffic.mix = traffic::parseMix(value(i));
-        } else if (std::strcmp(argv[i], "--config") == 0) {
-            opts.config = value(i);
-        } else if (std::strcmp(argv[i], "--arrival") == 0) {
-            opts.traffic.arrival = traffic::arrivalByName(value(i));
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            opts.traffic.seed = driver::parseUintFlag("--seed", value(i));
-        } else if (std::strcmp(argv[i], "--seed-pool") == 0) {
-            opts.traffic.seedPool =
-                driver::parseUintFlag("--seed-pool", value(i));
-        } else if (std::strcmp(argv[i], "--bandwidth") == 0) {
-            opts.bandwidthWordsPerTick =
-                driver::parseRealFlag("--bandwidth", value(i));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = value(i);
-        } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
-            storeDir = argv[i] + 8;
-        } else if (std::strcmp(argv[i], "--store") == 0) {
-            storeDir = value(i);
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opts.useCache = false;
-        } else if (std::strcmp(argv[i], "--audit") == 0) {
-            verify::setAuditEnabled(true);
-        } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-            opts.timeseriesInterval =
-                driver::parseUintFlag("--timeseries", argv[i] + 13);
-        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-            opts.timeseriesInterval =
-                driver::parseUintFlag("--timeseries", value(i));
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else {
-            usage_error("unknown option '%s' (see the header of "
-                        "examples/serve_bench.cpp)", argv[i]);
-        }
-    }
-    opts.storeDir = storeDir;
+    driver::Cli({
+        {"--cores", "a,b,...", "core counts (default: 1,2,4,8)",
+         driver::setUintList(coreCounts)},
+        {"--rps", "R", "offered requests per second (default: 2000)",
+         driver::setReal(opts.traffic.rps)},
+        {"--requests", "N", "requests per run (default: 256)",
+         driver::setUint(opts.traffic.requests)},
+        {"--batch", "N", "records per request (default: 256)",
+         driver::setUint(opts.traffic.batch)},
+        {"--mix", "spec", "kernel[:weight],... (default: convert:2,md5,fft)",
+         [&](auto name, auto &v) {
+             opts.traffic.mix = traffic::parseMix(v);
+             for (const auto &e : opts.traffic.mix)
+                 driver::checkName(name, e.kernel, kernels::kernelNames());
+         }},
+        {"--config", "NAME", "configuration per core (default: S-O-D)",
+         [&](auto name, auto &v) {
+             driver::checkName(name, v, arch::allConfigNames());
+             opts.config = v;
+         }},
+        {"--arrival", "a", "uniform (default) or poisson",
+         [&](auto name, auto &v) {
+             driver::checkName(name, v, {"uniform", "poisson"});
+             opts.traffic.arrival = traffic::arrivalByName(v);
+         }},
+        {"--seed", "S", "schedule + dataset seed (default: 1)",
+         driver::setUint(opts.traffic.seed)},
+        {"--seed-pool", "P", "dataset seeds per kernel (default: 2)",
+         driver::setUint(opts.traffic.seedPool)},
+        {"--bandwidth", "W", "shared L2/SMC words per tick (default: 1 core's)",
+         driver::setReal(opts.bandwidthWordsPerTick)},
+        driver::jobsOption(opts.jobs),
+        {"--json", "FILE", "output path (default: SERVE.json)",
+         driver::setString(jsonPath)},
+        {"--store", "DIR", "persistent result store (also: DLP_STORE=DIR)",
+         driver::setString(opts.storeDir)},
+        {"--no-cache", nullptr, "bypass the process-wide result cache",
+         driver::setFlag(opts.useCache, false)},
+        {"--audit", nullptr, "check multi-core laws (also: DLP_AUDIT=1)",
+         [](auto, auto &) { verify::setAuditEnabled(true); }},
+        {"--timeseries", "N", "sample queue depth each N simulated ticks",
+         driver::setUint(opts.timeseriesInterval)},
+        {"--quiet", nullptr, "suppress the per-run progress lines",
+         driver::setFlag(quiet)},
+    }).parse(argc, argv);
 
-    // Validate names up front, before any simulation.
-    (void)arch::configByName(opts.config);
-    for (const auto &e : opts.traffic.mix)
-        (void)kernels::kernelByName(e.kernel);
-
+    std::string storeDir = driver::storeDirFor(opts.storeDir);
     std::unique_ptr<store::ResultStore> serviceStore;
     if (!storeDir.empty())
         serviceStore = std::make_unique<store::ResultStore>(storeDir);

@@ -9,44 +9,17 @@
  *   ./build/examples/sweep --configs S,S-O,M-D --scale-div 4
  *   ./build/examples/sweep --seeds 1..5 --json seeds.json
  *
- * Options:
- *   --kernels a,b,...    kernel names, or "all" (default: the Table 4
- *                        performance suite)
- *   --configs a,b,...    Table 5 configuration names, or "all"
- *                        (default: all, baseline first)
- *   --scale-div n,m,...  scale divisors (default: 1)
- *   --seeds a,b or a..b  dataset seeds, list or inclusive range
- *                        (default: 1234)
- *   --jobs N             worker threads (default: DLP_JOBS, else 1;
- *                        0 = one per hardware thread)
- *   --json FILE          output path (default: SWEEP.json)
- *   --no-cache           bypass the process-wide result cache
- *   --store DIR          persistent content-addressed result store:
- *                        warm cells load from DIR, cold cells simulate
- *                        and are written back, so a rerun is
- *                        near-instant and bit-identical (also:
- *                        DLP_STORE=DIR)
- *   --quiet              suppress per-task progress lines
- *   --audit              check every run against the conservation
- *                        invariants (also: DLP_AUDIT=1); violations are
- *                        listed, exported in the JSON, and exit nonzero
- *   --check              statically verify every scheduled program
- *                        before it runs (also: DLP_CHECK=1); a plan
- *                        with Error findings aborts the sweep
- *   --trace-out FILE     capture a timeline of the sweep (simulated
- *                        spans + host-side cells/fixtures/jobs) as
- *                        Chrome trace JSON, loadable in Perfetto
- *                        (also: DLP_TIMELINE=FILE)
- *   --timeseries N       sample every registered stat each N simulated
- *                        ticks into the per-experiment "timeseries"
- *                        JSON object (also: DLP_TIMESERIES=N)
+ * Every slice takes --audit, --check, --store, --trace-out and
+ * --timeseries, as the grid benches do; `sweep --help` lists the
+ * options and their defaults. With --store DIR, warm cells load from
+ * DIR and cold ones simulate and are written back, so a rerun is
+ * near-instant and bit-identical; --audit violations are listed,
+ * exported in the JSON, and make the exit code nonzero.
  */
 
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,13 +27,9 @@
 #include "analysis/export.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
-#include "driver/job_pool.hh"
+#include "driver/cli.hh"
 #include "driver/sweep.hh"
-#include "kernels/catalog.hh"
-#include "kernels/workload.hh"
-#include "check/verify.hh"
 #include "obs/timeline.hh"
-#include "verify/audit.hh"
 
 using namespace dlp;
 
@@ -78,63 +47,22 @@ run(int argc, char **argv)
     bool quiet = false;
     driver::SweepOptions opts;
 
-    auto value = [&](int &i) -> const char * {
-        usage_error_if(i + 1 >= argc, "%s needs an argument", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernels") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                kernels = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--configs") == 0) {
-            std::string v = value(i);
-            if (v != "all")
-                configs = driver::splitList(v);
-        } else if (std::strcmp(argv[i], "--scale-div") == 0) {
-            scaleDivs = driver::parseUintListFlag("--scale-div", value(i));
-        } else if (std::strcmp(argv[i], "--seeds") == 0) {
-            seeds = driver::parseUintListFlag("--seeds", value(i));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opts.jobs = driver::JobPool::parseJobsFlag(value(i));
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            jsonPath = value(i);
-        } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
-            opts.storeDir = argv[i] + 8;
-        } else if (std::strcmp(argv[i], "--store") == 0) {
-            opts.storeDir = value(i);
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opts.useCache = false;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else if (std::strcmp(argv[i], "--audit") == 0) {
-            verify::setAuditEnabled(true);
-        } else if (std::strcmp(argv[i], "--check") == 0) {
-            check::setCheckEnabled(true);
-        } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-            obs::setOutputPath(argv[i] + 12);
-            obs::setRecording(true);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-            obs::setOutputPath(value(i));
-            obs::setRecording(true);
-        } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", argv[i] + 13));
-        } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-            obs::setTimeseriesInterval(
-                driver::parseUintFlag("--timeseries", value(i)));
-        } else {
-            usage_error("unknown option '%s' (see the header of "
-                        "examples/sweep.cpp)", argv[i]);
-        }
-    }
-
-    // Validate names up front: a typo should fail before an hour-long
-    // sweep, not in the middle of it.
-    for (const auto &k : kernels)
-        (void)kernels::kernelByName(k);
-    for (const auto &c : configs)
-        (void)arch::configByName(c);
+    driver::Cli cli({
+        driver::kernelsOption(kernels, "the Table 4 suite"),
+        driver::configsOption(configs, "all, baseline first"),
+        {"--scale-div", "n,m,...", "scale divisors (default: 1)",
+         driver::setUintList(scaleDivs)},
+        {"--seeds", "a,b|a..b", "dataset seeds (default: 1234)",
+         driver::setUintList(seeds)},
+        {"--json", "FILE", "output path (default: SWEEP.json)",
+         driver::setString(jsonPath)},
+        {"--no-cache", nullptr, "bypass the process-wide result cache",
+         driver::setFlag(opts.useCache, false)},
+        {"--quiet", nullptr, "suppress per-task progress lines",
+         driver::setFlag(quiet)},
+    });
+    cli.add(driver::gridOptions(opts));
+    cli.parse(argc, argv);
 
     driver::SweepPlan plan;
     for (uint64_t seed : seeds)

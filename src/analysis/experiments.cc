@@ -5,7 +5,7 @@
 #include "analysis/report.hh"
 #include "arch/configs.hh"
 #include "common/logging.hh"
-#include "driver/sweep.hh"
+#include "kernels/catalog.hh"
 #include "kernels/workload.hh"
 
 namespace dlp::analysis {
@@ -13,14 +13,11 @@ namespace dlp::analysis {
 const std::vector<std::string> &
 perfKernels()
 {
-    static const std::vector<std::string> names = {
-        "convert",        "dct",
-        "highpassfilter", "fft",
-        "lu",             "md5",
-        "blowfish",       "rijndael",
-        "vertex-simple",  "fragment-simple",
-        "vertex-reflection", "fragment-reflection",
-        "vertex-skinning"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v = kernels::kernelNames();
+        std::erase(v, "anisotropic-filter");
+        return v;
+    }();
     return names;
 }
 
@@ -47,15 +44,11 @@ runExperiment(const std::string &kernel, const std::string &config,
     return driver::runTask({kernel, config, scaleDiv, seed});
 }
 
-namespace {
-
 Grid
-runGridSweep(uint64_t scaleDiv, uint64_t seed, unsigned jobs)
+runGrid(uint64_t scaleDiv, uint64_t seed, const driver::SweepOptions &opts)
 {
     driver::SweepPlan plan;
     plan.addGrid(perfKernels(), arch::allConfigNames(), scaleDiv, seed);
-    driver::SweepOptions opts;
-    opts.jobs = jobs;
     auto results = driver::runSweep(plan, opts);
 
     Grid grid;
@@ -63,25 +56,6 @@ runGridSweep(uint64_t scaleDiv, uint64_t seed, unsigned jobs)
         grid[plan.tasks[i].kernel][plan.tasks[i].config] =
             std::move(results[i]);
     return grid;
-}
-
-} // namespace
-
-Grid
-runGrid(uint64_t scaleDiv, uint64_t seed, unsigned jobs)
-{
-    unsigned effective =
-        jobs ? jobs : driver::effectiveJobs(driver::SweepOptions{});
-    if (effective > 1)
-        return runGridParallel(scaleDiv, seed, effective);
-    return runGridSweep(scaleDiv, seed, 1);
-}
-
-Grid
-runGridParallel(uint64_t scaleDiv, uint64_t seed, unsigned jobs)
-{
-    panic_if(jobs == 0, "runGridParallel with zero jobs");
-    return runGridSweep(scaleDiv, seed, jobs);
 }
 
 double

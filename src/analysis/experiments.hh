@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "arch/processor.hh"
+#include "driver/sweep.hh"
 
 namespace dlp::analysis {
 
@@ -31,24 +32,20 @@ const std::vector<std::string> &figure5Order();
 using Grid = std::map<std::string, std::map<std::string, arch::ExperimentResult>>;
 
 /**
- * Run the full grid.
+ * Run the full grid on the sweep driver.
  *
  * The experiments are independent; with more than one job they run
- * concurrently on the sweep driver's thread pool and the returned Grid
- * is bit-identical to a serial run (each job gets an isolated
- * workload + processor and a fixed output slot).
+ * concurrently and the returned Grid is bit-identical to a serial run
+ * (each job gets an isolated workload + processor and a fixed output
+ * slot).
  *
  * @param scaleDiv divide each kernel's default problem scale by this
  *                 (tests use larger divisors for speed; benches use 1)
  * @param seed     dataset seed
- * @param jobs     worker threads; 0 defers to the DLP_JOBS environment
- *                 variable (default 1 = serial on the calling thread)
+ * @param opts     jobs, store and cache settings of the sweep
  */
 Grid runGrid(uint64_t scaleDiv = 1, uint64_t seed = 1234,
-             unsigned jobs = 0);
-
-/** The parallel grid path; jobs must be >= 1 (1 degenerates to serial). */
-Grid runGridParallel(uint64_t scaleDiv, uint64_t seed, unsigned jobs);
+             const driver::SweepOptions &opts = {});
 
 /** Run one kernel on one configuration at default/scaled size. */
 arch::ExperimentResult runExperiment(const std::string &kernel,

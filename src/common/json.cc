@@ -704,7 +704,8 @@ namespace detail {
 /**
  * Serializes a document into a list of output chunks. Every item,
  * member and scalar makes one room check for the most bytes it can
- * take (a string as if each byte needed a \u escape), then writes
+ * take (a string as if each byte needed a \u escape, or its exact
+ * quoted size when that bound does not fit the chunk), then writes
  * through a raw pointer. Member names are copied pre-rendered from
  * their keys.
  *
@@ -859,10 +860,16 @@ class Writer
           case Value::Kind::Number:
             number(v);
             break;
-          case Value::Kind::String:
-            reserve(2 + maxEscape * v.size_);
-            p_ = quote(p_, {v.str_, v.size_});
+          case Value::Kind::String: {
+            std::string_view str(v.str_, v.size_);
+            // The escape bound when the chunk has room for it, else the
+            // exact size: a long string opens a block of its own size,
+            // not one six times larger.
+            size_t bound = 2 + maxEscape * str.size();
+            reserve(size_t(end_ - p_) >= bound ? bound : quotedSize(str));
+            p_ = quote(p_, str);
             break;
+          }
           case Value::Kind::Array: {
             if (!v.size_) {
                 put("[]", 2);

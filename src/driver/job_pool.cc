@@ -1,8 +1,5 @@
 #include "driver/job_pool.hh"
 
-#include <charconv>
-#include <cinttypes>
-#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -105,89 +102,6 @@ JobPool::parseWorkers(const char *text)
         return hw ? hw : 1;
     }
     return v > 256 ? 256u : unsigned(v);
-}
-
-unsigned
-JobPool::parseJobsFlag(const char *text)
-{
-    std::optional<unsigned> n = parseWorkers(text);
-    usage_error_if(!n,
-                   "--jobs expects a non-negative worker count, got '%s'",
-                   text);
-    return *n;
-}
-
-uint64_t
-parseUintFlag(const char *flag, const std::string &text, uint64_t max)
-{
-    // from_chars takes no sign and no leading space, so "-1" fails here
-    // instead of wrapping to 2^64 - 1 as strtoull would.
-    uint64_t v = 0;
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    bool ok = ec == std::errc() && ptr == end && v <= max;
-    usage_error_if(!ok && max == UINT64_MAX,
-                   "%s expects a non-negative integer, got '%s'", flag,
-                   text.c_str());
-    usage_error_if(!ok,
-                   "%s expects an integer in 0..%" PRIu64 ", got '%s'",
-                   flag, max, text.c_str());
-    return v;
-}
-
-double
-parseRealFlag(const char *flag, const std::string &text, double lo,
-              double hi)
-{
-    double v = 0.0;
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    bool ok = ec == std::errc() && ptr == end && std::isfinite(v) &&
-              v >= lo && v <= hi;
-    usage_error_if(!ok && hi == HUGE_VAL,
-                   "%s expects a number >= %g, got '%s'", flag, lo,
-                   text.c_str());
-    usage_error_if(!ok, "%s expects a number in [%g, %g], got '%s'", flag,
-                   lo, hi, text.c_str());
-    return v;
-}
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-std::vector<uint64_t>
-parseUintListFlag(const char *flag, const std::string &text,
-                  uint64_t maxSpan)
-{
-    std::vector<uint64_t> out;
-    for (const auto &tok : splitList(text)) {
-        size_t dots = tok.find("..");
-        if (dots == std::string::npos) {
-            out.push_back(parseUintFlag(flag, tok));
-            continue;
-        }
-        uint64_t lo = parseUintFlag(flag, tok.substr(0, dots));
-        uint64_t hi = parseUintFlag(flag, tok.substr(dots + 2));
-        usage_error_if(hi < lo || hi - lo > maxSpan, "%s: bad range '%s'",
-                       flag, tok.c_str());
-        for (uint64_t d = 0; d <= hi - lo; ++d) // no wrap at 2^64 - 1
-            out.push_back(lo + d);
-    }
-    usage_error_if(out.empty(), "%s: empty list '%s'", flag, text.c_str());
-    return out;
 }
 
 bool

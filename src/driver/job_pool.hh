@@ -19,26 +19,19 @@
  * from wait() (subsequent ones are dropped, matching the "first
  * failure wins" convention of ctest -j). The pool stays usable after
  * a failed batch.
- *
- * Beside the pool's own `--jobs` parser live the checked parsers every
- * bench and example binary uses for its other numeric flags
- * (parseUintFlag, parseRealFlag, parseUintListFlag).
  */
 
 #ifndef DLP_DRIVER_JOB_POOL_HH
 #define DLP_DRIVER_JOB_POOL_HH
 
-#include <cmath>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,9 +89,6 @@ class JobPool
      */
     static std::optional<unsigned> parseWorkers(const char *text);
 
-    /** parseWorkers() of a `--jobs` value; usage_error() if malformed. */
-    static unsigned parseJobsFlag(const char *text);
-
   private:
     struct WorkerQueue
     {
@@ -131,37 +121,6 @@ class JobPool
  */
 void parallelFor(JobPool &pool, size_t n,
                  const std::function<void(size_t)> &fn);
-
-/**
- * The checked integer parser of every bench and example flag: the
- * decimal value of `text`, which must not exceed max. usage_error(),
- * naming the flag, when the text is empty, not a number (trailing
- * characters included), negative or out of range.
- */
-uint64_t parseUintFlag(const char *flag, const std::string &text,
-                       uint64_t max = UINT64_MAX);
-
-/**
- * The same for a real value (rates, bandwidths, thresholds):
- * usage_error(), naming the flag, unless `text` is a whole finite
- * decimal number in [lo, hi]. The default range is every non-negative
- * number.
- */
-double parseRealFlag(const char *flag, const std::string &text,
-                     double lo = 0.0, double hi = HUGE_VAL);
-
-/** The items of a comma-separated flag value, empty items dropped. */
-std::vector<std::string> splitList(const std::string &text);
-
-/**
- * A flag's list of integers: comma-separated items, each a value or an
- * inclusive range "lo..hi" of at most maxSpan + 1 values, every value
- * checked as parseUintFlag checks it. usage_error() on an empty list or
- * a bad range.
- */
-std::vector<uint64_t> parseUintListFlag(const char *flag,
-                                        const std::string &text,
-                                        uint64_t maxSpan = 4096);
 
 } // namespace dlp::driver
 

@@ -59,21 +59,15 @@ cacheStore(const std::string &key, const arch::ExperimentResult &result)
 /// Persistent store handles, one per directory, living for the whole
 /// process so their traffic counters accumulate across sweeps.
 std::mutex storeMutex;
-std::string defaultStoreDir;
 std::map<std::string, std::unique_ptr<store::ResultStore>> storeHandles;
 
 store::ResultStore *
 storeFor(const SweepOptions &opts)
 {
-    std::string dir = opts.storeDir;
-    std::lock_guard<std::mutex> lock(storeMutex);
-    if (dir.empty())
-        dir = defaultStoreDir;
-    if (dir.empty())
-        if (const char *env = std::getenv("DLP_STORE"); env && *env)
-            dir = env;
+    std::string dir = storeDirFor(opts.storeDir);
     if (dir.empty())
         return nullptr;
+    std::lock_guard<std::mutex> lock(storeMutex);
     auto it = storeHandles.find(dir);
     if (it == storeHandles.end())
         it = storeHandles
@@ -303,11 +297,13 @@ clearResultCache()
     cacheMissCount.store(0, std::memory_order_relaxed);
 }
 
-void
-setDefaultStoreDir(const std::string &dir)
+std::string
+storeDirFor(const std::string &dir)
 {
-    std::lock_guard<std::mutex> lock(storeMutex);
-    defaultStoreDir = dir;
+    if (!dir.empty())
+        return dir;
+    const char *env = std::getenv("DLP_STORE");
+    return env ? env : "";
 }
 
 store::StoreStats

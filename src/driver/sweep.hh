@@ -26,9 +26,8 @@
  *    the same key, consulted on every in-process cache miss and filled
  *    after every simulation, so a rerun in a *new* process — or on
  *    another machine sharing the directory — is near-instant and
- *    bit-identical. Enable per sweep with SweepOptions::storeDir, or
- *    process-wide with setDefaultStoreDir() / the DLP_STORE
- *    environment variable.
+ *    bit-identical. Enable it with SweepOptions::storeDir or the
+ *    DLP_STORE environment variable (storeDirFor()).
  */
 
 #ifndef DLP_DRIVER_SWEEP_HH
@@ -105,8 +104,7 @@ struct SweepOptions
 
     /**
      * Directory of the persistent result store. Empty means the
-     * process default — setDefaultStoreDir(), else the DLP_STORE
-     * environment variable, else no store at all.
+     * DLP_STORE environment variable, else no store at all.
      */
     std::string storeDir;
 
@@ -147,8 +145,11 @@ void clearResultCache();
 /// @name Persistent result-store wiring.
 /// @{
 
-/** Process-default store directory; "" falls back to DLP_STORE. */
-void setDefaultStoreDir(const std::string &dir);
+/**
+ * The store directory a sweep uses: `dir` (an option's value), else
+ * the DLP_STORE environment variable, else "" for no store.
+ */
+std::string storeDirFor(const std::string &dir);
 
 /**
  * Store traffic aggregated across every store handle runSweep has

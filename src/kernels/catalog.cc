@@ -5,58 +5,62 @@
 
 namespace dlp::kernels {
 
+namespace {
+
+/// The catalog in the paper's Table 1/2 order: each kernel's Table 1
+/// name and its factory.
+struct Entry
+{
+    const char *name;
+    Kernel (*make)();
+};
+
+constexpr Entry catalog[] = {
+    {"convert", makeConvert},
+    {"dct", makeDct},
+    {"highpassfilter", makeHighpass},
+    {"fft", makeFft},
+    {"lu", makeLu},
+    {"md5", makeMd5},
+    {"blowfish", makeBlowfish},
+    {"rijndael", makeRijndael},
+    {"vertex-simple", makeVertexSimple},
+    {"fragment-simple", makeFragmentSimple},
+    {"vertex-reflection", makeVertexReflection},
+    {"fragment-reflection", makeFragmentReflection},
+    {"vertex-skinning", makeVertexSkinning},
+    {"anisotropic-filter", makeAnisotropic},
+};
+
+} // namespace
+
 std::vector<Kernel>
 allKernels()
 {
     std::vector<Kernel> v;
-    v.push_back(makeConvert());
-    v.push_back(makeDct());
-    v.push_back(makeHighpass());
-    v.push_back(makeFft());
-    v.push_back(makeLu());
-    v.push_back(makeMd5());
-    v.push_back(makeBlowfish());
-    v.push_back(makeRijndael());
-    v.push_back(makeVertexSimple());
-    v.push_back(makeFragmentSimple());
-    v.push_back(makeVertexReflection());
-    v.push_back(makeFragmentReflection());
-    v.push_back(makeVertexSkinning());
-    v.push_back(makeAnisotropic());
+    for (const Entry &e : catalog)
+        v.push_back(e.make());
     return v;
+}
+
+const std::vector<std::string> &
+kernelNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const Entry &e : catalog)
+            v.push_back(e.name);
+        return v;
+    }();
+    return names;
 }
 
 Kernel
 kernelByName(const std::string &name)
 {
-    if (name == "convert")
-        return makeConvert();
-    if (name == "dct")
-        return makeDct();
-    if (name == "highpassfilter")
-        return makeHighpass();
-    if (name == "fft")
-        return makeFft();
-    if (name == "lu")
-        return makeLu();
-    if (name == "md5")
-        return makeMd5();
-    if (name == "blowfish")
-        return makeBlowfish();
-    if (name == "rijndael")
-        return makeRijndael();
-    if (name == "vertex-simple")
-        return makeVertexSimple();
-    if (name == "fragment-simple")
-        return makeFragmentSimple();
-    if (name == "vertex-reflection")
-        return makeVertexReflection();
-    if (name == "fragment-reflection")
-        return makeFragmentReflection();
-    if (name == "vertex-skinning")
-        return makeVertexSkinning();
-    if (name == "anisotropic-filter")
-        return makeAnisotropic();
+    for (const Entry &e : catalog)
+        if (name == e.name)
+            return e.make();
     fatal("unknown kernel '%s'", name.c_str());
 }
 

@@ -41,6 +41,9 @@ Kernel makeAnisotropic();
 /** All kernels in the paper's Table 1/2 order. */
 std::vector<Kernel> allKernels();
 
+/** The Table 1 names of allKernels(), in the same order. */
+const std::vector<std::string> &kernelNames();
+
 /** Look up a kernel by its Table 1 name (e.g. "rijndael"). */
 Kernel kernelByName(const std::string &name);
 

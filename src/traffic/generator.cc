@@ -1,6 +1,7 @@
 #include "traffic/generator.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -39,21 +40,25 @@ parseMix(const std::string &spec)
             std::string tok = spec.substr(start, comma - start);
             size_t colon = tok.find(':');
             MixEntry e;
-            if (colon == std::string::npos) {
-                e.kernel = tok;
-            } else {
-                e.kernel = tok.substr(0, colon);
-                e.weight = std::strtoull(tok.c_str() + colon + 1,
-                                         nullptr, 10);
+            e.kernel = tok.substr(0, colon);
+            bool ok = !e.kernel.empty();
+            if (colon != std::string::npos) {
+                // The whole rest is the weight: no sign, no trailing
+                // characters, and small enough that weights sum safely.
+                const char *end = tok.data() + tok.size();
+                auto [ptr, ec] =
+                    std::from_chars(tok.data() + colon + 1, end, e.weight);
+                ok = ok && ec == std::errc() && ptr == end &&
+                     e.weight <= UINT32_MAX;
             }
-            fatal_if(e.kernel.empty() || e.weight == 0,
-                     "bad mix entry '%s' (want kernel[:weight], weight "
-                     "nonzero)", tok.c_str());
+            usage_error_if(!ok || e.weight == 0,
+                           "bad mix entry '%s' (want kernel[:weight], "
+                           "weight in 1..%u)", tok.c_str(), UINT32_MAX);
             mix.push_back(std::move(e));
         }
         start = comma + 1;
     }
-    fatal_if(mix.empty(), "empty kernel mix '%s'", spec.c_str());
+    usage_error_if(mix.empty(), "empty kernel mix '%s'", spec.c_str());
     return mix;
 }
 

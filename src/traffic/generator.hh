@@ -65,8 +65,8 @@ const char *arrivalName(Arrival a);
 
 /**
  * Parse a "--mix" spec: comma-separated kernel[:weight] entries, e.g.
- * "convert:4,md5:2,fft". FatalError on malformed entries or zero
- * weights (kernel names are validated by the profile sweep later).
+ * "convert:4,md5:2,fft". UsageError on malformed entries or a weight
+ * outside 1..2^32-1 (kernel names are checked by the caller).
  */
 std::vector<MixEntry> parseMix(const std::string &spec);
 

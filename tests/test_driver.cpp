@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep driver: JobPool lifecycle, work
- * distribution and exception propagation; the result cache; and the
- * headline guarantee — a parallel grid is field-for-field identical
+ * distribution and exception propagation; the command-line parser;
+ * the result cache; and the headline guarantee — a parallel grid is field-for-field identical
  * to the serial grid.
  */
 
@@ -19,8 +19,10 @@
 #include "arch/configs.hh"
 #include "common/logging.hh"
 #include "core/block_engine.hh"
+#include "driver/cli.hh"
 #include "driver/job_pool.hh"
 #include "driver/sweep.hh"
+#include "kernels/catalog.hh"
 #include "sched/plan.hh"
 
 using namespace dlp;
@@ -132,7 +134,7 @@ TEST(JobPool, ParseWorkersRejectsMalformedAndCapsLarge)
     unsigned hw = std::thread::hardware_concurrency();
     EXPECT_EQ(JobPool::parseWorkers("0"), hw ? hw : 1u);
     EXPECT_EQ(JobPool::parseWorkers("1000"), 256u);
-    EXPECT_THROW(JobPool::parseJobsFlag("-3"), FatalError);
+    EXPECT_THROW(parseJobsFlag("-3"), FatalError);
 }
 
 TEST(Flags, CheckedIntegerParserRejectsMalformedAndNamesTheFlag)
@@ -173,6 +175,133 @@ TEST(Flags, CheckedIntegerParserRejectsMalformedAndNamesTheFlag)
         EXPECT_THROW(parseRealFlag("--min-spearman", bad, -1.0, 1.0),
                      FatalError)
             << bad;
+}
+
+namespace {
+
+/** Cli::parse over a command line given without the program name. */
+void
+parseArgs(Cli &cli, std::vector<std::string> args)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    cli.parse(int(argv.size()), argv.data());
+}
+
+/** The UsageError message parseArgs raises ("" when it raises none). */
+std::string
+usageErrorOf(Cli &cli, std::vector<std::string> args)
+{
+    try {
+        parseArgs(cli, std::move(args));
+    } catch (const UsageError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Cli, EqualsAndSpaceFormsSetTheSameValue)
+{
+    for (bool equals : {false, true}) {
+        uint64_t seed = 0;
+        std::string json;
+        bool quick = false;
+        SweepOptions opts;
+        Cli cli({{"--seed", "N", "seed", setUint(seed)},
+                 {"--json", "FILE", "output", setString(json)},
+                 {"--quick", nullptr, "quick", setFlag(quick)},
+                 jobsOption(opts.jobs)});
+        std::vector<std::string> args =
+            equals ? std::vector<std::string>{"--seed=42", "--json=a=b.json",
+                                              "--quick", "--jobs=3"}
+                   : std::vector<std::string>{"--seed", "42", "--json",
+                                              "a=b.json", "--quick",
+                                              "--jobs", "3"};
+        parseArgs(cli, args);
+        EXPECT_EQ(seed, 42u) << equals;
+        EXPECT_EQ(json, "a=b.json") << equals;
+        EXPECT_TRUE(quick) << equals;
+        EXPECT_EQ(opts.jobs, 3u) << equals;
+    }
+}
+
+TEST(Cli, BadCommandLinesAreUsageErrorsNamingTheArgument)
+{
+    uint64_t seed = 0;
+    bool quick = false;
+    std::vector<std::string> kernels = {"fft"};
+    std::vector<std::string> configs;
+    Cli cli({{"--seed", "N", "seed", setUint(seed)},
+             {"--quick", nullptr, "quick", setFlag(quick)},
+             kernelsOption(kernels, "fft"), configsOption(configs, "all")});
+
+    auto expectError = [&](std::vector<std::string> args,
+                           const std::string &needle) {
+        std::string msg = usageErrorOf(cli, args);
+        EXPECT_NE(msg.find(needle), std::string::npos)
+            << args.front() << ": '" << msg << "'";
+    };
+    expectError({"--seed"}, "--seed needs an argument");
+    expectError({"--quick=x"}, "--quick takes no value, got '--quick=x'");
+    expectError({"--bogus"}, "unknown option '--bogus' (see --help)");
+    expectError({"--bogus=1"}, "unknown option '--bogus'");
+    expectError({"stray"}, "unexpected argument 'stray'");
+    expectError({"--help=x"}, "--help takes no value");
+    expectError({"--seed", "x"}, "--seed expects");
+    expectError({"--kernels", "fft,bogus"}, "--kernels: unknown name 'bogus'");
+    expectError({"--configs=bogus"}, "--configs: unknown name 'bogus'");
+
+    // Every catalog kernel's own name is accepted.
+    for (const auto &k : kernels::allKernels())
+        EXPECT_EQ(usageErrorOf(cli, {"--kernels", k.name}), "") << k.name;
+
+    // "all" keeps the default; valid names replace it.
+    kernels = {"fft"};
+    parseArgs(cli, {"--kernels", "all", "--configs", "S,M-D"});
+    EXPECT_EQ(kernels, std::vector<std::string>{"fft"});
+    EXPECT_EQ(configs, (std::vector<std::string>{"S", "M-D"}));
+}
+
+TEST(Cli, PositionalsFillTheTableInOrder)
+{
+    std::string kernel = "blowfish";
+    uint64_t scale = 0;
+    Cli cli({{"kernel", nullptr, "kernel", setString(kernel)},
+             {"scale", nullptr, "scale", setUint(scale)}});
+    parseArgs(cli, {"md5", "64"});
+    EXPECT_EQ(kernel, "md5");
+    EXPECT_EQ(scale, 64u);
+    EXPECT_NE(usageErrorOf(cli, {"md5", "64", "7"})
+                  .find("unexpected argument '7'"),
+              std::string::npos);
+}
+
+TEST(Cli, HelpListsEveryRegisteredOptionOnce)
+{
+    bool quick = false;
+    std::vector<std::string> kernels, configs;
+    SweepOptions opts;
+    Cli cli({{"--quick", nullptr, "quick", setFlag(quick)},
+             kernelsOption(kernels, "all"), configsOption(configs, "all")});
+    cli.add(gridOptions(opts));
+
+    std::string out = cli.usage("prog");
+    EXPECT_EQ(out.rfind("Usage: prog [options]\n", 0), 0u) << out;
+    for (const char *name :
+         {"--quick", "--kernels", "--configs", "--jobs", "--audit", "--check",
+          "--store", "--trace-out", "--timeseries", "--help"}) {
+        std::string row = std::string("\n  ") + name + " ";
+        size_t first = out.find(row);
+        EXPECT_NE(first, std::string::npos) << name;
+        EXPECT_EQ(out.find(row, first + 1), std::string::npos) << name;
+    }
+    // --help prints it and exits 0 before a later bad option is seen.
+    EXPECT_EXIT(parseArgs(cli, {"--quick", "--help", "--bogus"}),
+                testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------
@@ -391,8 +520,9 @@ TEST(Determinism, ParallelGridMatchesSerialFieldForField)
     // Flush the cache so the parallel run actually simulates instead
     // of copying the serial results back out.
     clearResultCache();
-    analysis::Grid parallel =
-        analysis::runGridParallel(scaleDiv, 1234, 8);
+    SweepOptions eightJobs;
+    eightJobs.jobs = 8;
+    analysis::Grid parallel = analysis::runGrid(scaleDiv, 1234, eightJobs);
     clearResultCache();
 
     ASSERT_EQ(serial.size(), parallel.size());

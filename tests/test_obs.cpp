@@ -665,8 +665,10 @@ TEST(ObsIntegration, TracedQuickGridKeepsEveryCellSpan)
     ObsReset guard;
     setQuietLogging(true);
     driver::clearResultCache();
+    driver::SweepOptions serial;
+    serial.jobs = 1;
     obs::setRecording(true);
-    analysis::Grid grid = analysis::runGrid(8, 1234, 1);
+    analysis::Grid grid = analysis::runGrid(8, 1234, serial);
     obs::setRecording(false);
     setQuietLogging(false);
 

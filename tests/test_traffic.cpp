@@ -144,6 +144,8 @@ TEST(Traffic, ParseMixAndArrivalNames)
     EXPECT_THROW(traffic::parseMix(""), FatalError);
     EXPECT_THROW(traffic::parseMix("fft:0"), FatalError);
     EXPECT_THROW(traffic::parseMix("fft:abc"), FatalError);
+    for (const char *bad : {"fft:-1", "fft:2x", "fft:", ":3", "fft:4294967296"})
+        EXPECT_THROW(traffic::parseMix(bad), UsageError) << bad;
 
     EXPECT_EQ(traffic::arrivalByName("uniform"),
               traffic::Arrival::Uniform);
