@@ -24,16 +24,45 @@ MultiCoreSystem::defaultBandwidth()
            double(ticksPerCycle);
 }
 
+namespace {
+
+/** The index of the nearest-rank `pct` percentile among n > 0 sorted
+ *  samples: the ceil(pct/100 * n)-th, clamped to the first and last. */
+size_t
+rankIndex(size_t n, double pct)
+{
+    double rank = std::ceil(pct / 100.0 * double(n));
+    size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
+    return std::min(idx, n - 1);
+}
+
+} // namespace
+
 double
 nearestRank(const std::vector<double> &sorted, double pct)
 {
-    if (sorted.empty())
-        return 0.0;
-    double rank = std::ceil(pct / 100.0 * double(sorted.size()));
-    size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
+    return sorted.empty() ? 0.0 : sorted[rankIndex(sorted.size(), pct)];
+}
+
+std::vector<double>
+nearestRanks(std::vector<double> samples, const std::vector<double> &pcts)
+{
+    panic_if(!std::is_sorted(pcts.begin(), pcts.end()),
+             "nearestRanks: percentiles must ascend");
+    if (samples.empty())
+        return std::vector<double>(pcts.size(), 0.0);
+    std::vector<double> out;
+    out.reserve(pcts.size());
+    // Each selection leaves every sample ranked at or above its pick in
+    // [pick, end), so the next (higher) percentile selects there.
+    auto from = samples.begin();
+    for (double pct : pcts) {
+        auto nth = samples.begin() + rankIndex(samples.size(), pct);
+        std::nth_element(from, nth, samples.end());
+        out.push_back(*nth);
+        from = nth;
+    }
+    return out;
 }
 
 MultiCoreSystem::MultiCoreSystem(const SystemParams &params,
@@ -239,12 +268,11 @@ MultiCoreSystem::serve(const std::vector<traffic::Request> &schedule)
                             ? queueWaitSum / double(res.completed)
                             : 0.0;
 
-    std::vector<double> sorted = latencies;
-    std::sort(sorted.begin(), sorted.end());
-    res.p50 = nearestRank(sorted, 50.0);
-    res.p95 = nearestRank(sorted, 95.0);
-    res.p99 = nearestRank(sorted, 99.0);
-    res.maxLatency = sorted.empty() ? 0.0 : sorted.back();
+    auto ranks = nearestRanks(latencies, {50.0, 95.0, 99.0, 100.0});
+    res.p50 = ranks[0];
+    res.p95 = ranks[1];
+    res.p99 = ranks[2];
+    res.maxLatency = ranks[3];
 
     double latencySum = 0.0;
     for (double l : latencies)

@@ -221,6 +221,14 @@ class MultiCoreSystem
 /** Exact nearest-rank percentile of an ascending-sorted sample vector. */
 double nearestRank(const std::vector<double> &sorted, double pct);
 
+/**
+ * The nearest-rank percentiles `pcts` (ascending) of unsorted `samples`:
+ * the same values nearestRank reads from a sorted copy, found by
+ * selection on nested ranges instead of a sort. 0 for each when empty.
+ */
+std::vector<double> nearestRanks(std::vector<double> samples,
+                                 const std::vector<double> &pcts);
+
 } // namespace dlp::arch
 
 #endif // DLP_ARCH_MULTICORE_HH

@@ -245,14 +245,16 @@ gridOptions(SweepOptions &opts)
 
 namespace {
 
-/** A list of names checked against known(); "all" keeps `out`. */
+/** A list of names checked against known(); "all" is every known name. */
 Option
 namesOption(const char *name, std::string help, std::vector<std::string> &out,
             const std::vector<std::string> &(*known)())
 {
     Setter set = [&out, known](auto flag, auto &v) {
-        if (v == "all")
+        if (v == "all") {
+            out = known();
             return;
+        }
         std::vector<std::string> names = splitList(v);
         usage_error_if(names.empty(), "%s: empty list '%s'", flag, v.c_str());
         for (const auto &n : names)
@@ -268,7 +270,9 @@ Option
 kernelsOption(std::vector<std::string> &out, const char *dflt)
 {
     return namesOption("--kernels",
-                       std::string("kernels or \"all\" (default: ") + dflt + ")",
+                       std::string("kernels, or \"all\" for the whole "
+                                   "catalog (default: ") +
+                           dflt + ")",
                        out, kernels::kernelNames);
 }
 
@@ -276,7 +280,9 @@ Option
 configsOption(std::vector<std::string> &out, const char *dflt)
 {
     return namesOption("--configs",
-                       std::string("configs or \"all\" (default: ") + dflt + ")",
+                       std::string("configs, or \"all\" for every Table 5 "
+                                   "config (default: ") +
+                           dflt + ")",
                        out, arch::allConfigNames);
 }
 

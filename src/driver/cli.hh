@@ -141,8 +141,8 @@ std::vector<Option> gridOptions(SweepOptions &opts);
 
 /**
  * --kernels: comma-separated kernel names, each checked against the
- * catalog; "all" keeps `out` (which holds the binary's default,
- * described by `dflt`).
+ * catalog, or "all" for every catalog kernel. Without the flag `out`
+ * keeps the binary's default, described by `dflt`.
  */
 Option kernelsOption(std::vector<std::string> &out, const char *dflt);
 

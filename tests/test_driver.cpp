@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
@@ -259,11 +260,16 @@ TEST(Cli, BadCommandLinesAreUsageErrorsNamingTheArgument)
     for (const auto &k : kernels::allKernels())
         EXPECT_EQ(usageErrorOf(cli, {"--kernels", k.name}), "") << k.name;
 
-    // "all" keeps the default; valid names replace it.
+    // "all" is every known name, whatever the default; valid names
+    // replace the default.
     kernels = {"fft"};
     parseArgs(cli, {"--kernels", "all", "--configs", "S,M-D"});
-    EXPECT_EQ(kernels, std::vector<std::string>{"fft"});
+    EXPECT_EQ(kernels, kernels::kernelNames());
+    EXPECT_NE(std::find(kernels.begin(), kernels.end(), "anisotropic-filter"),
+              kernels.end());
     EXPECT_EQ(configs, (std::vector<std::string>{"S", "M-D"}));
+    parseArgs(cli, {"--configs=all"});
+    EXPECT_EQ(configs, arch::allConfigNames());
 }
 
 TEST(Cli, PositionalsFillTheTableInOrder)

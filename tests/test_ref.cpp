@@ -177,6 +177,87 @@ TEST(PiDigits, ShorterTablesArePrefixes)
     }
 }
 
+namespace {
+
+/** out = x / d, truncated, from limb `lead` on (limbs before it are 0). */
+void
+oneTermDivide(const std::vector<uint32_t> &x, size_t lead, uint32_t d,
+              std::vector<uint32_t> &out)
+{
+    uint64_t rem = 0;
+    for (size_t i = lead; i < x.size(); ++i) {
+        uint64_t cur = (rem << 32) | x[i];
+        out[i] = static_cast<uint32_t>(cur / d);
+        rem = cur % d;
+    }
+}
+
+/** acc += term (or -= term), modulo 2^(32 * size). */
+void
+oneTermAccumulate(std::vector<uint32_t> &acc,
+                  const std::vector<uint32_t> &term, size_t lead,
+                  bool subtract)
+{
+    uint64_t carry = 0;
+    for (size_t i = acc.size(); i-- > 0 && (i >= lead || carry);) {
+        uint64_t t = i >= lead ? term[i] : 0;
+        uint64_t cur = subtract ? uint64_t(acc[i]) - t - carry
+                                : uint64_t(acc[i]) + t + carry;
+        acc[i] = static_cast<uint32_t>(cur);
+        carry = subtract ? (cur >> 63) : (cur >> 32);
+    }
+}
+
+/** acc += coeff * atan(1/x) (or -=), one Gregory term per pass: divide
+ *  the power by 2k+1 for the term, add it, divide the power by x^2. */
+void
+oneTermArctan(std::vector<uint32_t> &acc, uint32_t coeff, uint32_t x,
+              bool subtract)
+{
+    std::vector<uint32_t> power(acc.size(), 0), term(acc.size());
+    power[0] = coeff;
+    oneTermDivide(power, 0, x, power);
+    size_t lead = 0;
+    for (uint32_t k = 0; lead < power.size(); ++k) {
+        oneTermDivide(power, lead, 2 * k + 1, term);
+        oneTermAccumulate(acc, term, lead, subtract != (k % 2 == 1));
+        oneTermDivide(power, lead, x * x, power);
+        while (lead < power.size() && power[lead] == 0)
+            ++lead;
+    }
+}
+
+/**
+ * piFractionWords computed one Machin term per pass, with the same limb
+ * layout and 4 guard limbs. The grouped series must return exactly
+ * these words, since grouping only merges floors.
+ */
+std::vector<uint32_t>
+oneTermPiWords(size_t count)
+{
+    std::vector<uint32_t> pi(1 + count + 4, 0);
+    oneTermArctan(pi, 16, 5, false);
+    oneTermArctan(pi, 4, 239, true);
+    return {pi.begin() + 1, pi.begin() + 1 + count};
+}
+
+} // namespace
+
+TEST(PiDigits, GroupedSeriesMatchesOneTermReference)
+{
+    for (size_t count : {size_t(0), size_t(1), size_t(2), size_t(17),
+                         size_t(18), kBlowfishPiWords - 1, kBlowfishPiWords,
+                         size_t(4096)}) {
+        auto want = oneTermPiWords(count);
+        auto got = piFractionWords(count);
+        ASSERT_EQ(got.size(), count);
+        auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin());
+        EXPECT_EQ(g, got.end())
+            << "count " << count << ": word " << (g - got.begin())
+            << " is 0x" << std::hex << *g << ", expected 0x" << *w;
+    }
+}
+
 // --------------------------------------------------------------------------
 // MD5 (RFC 1321 appendix vectors)
 // --------------------------------------------------------------------------

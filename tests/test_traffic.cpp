@@ -20,6 +20,7 @@
 #include "arch/multicore.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "driver/service.hh"
 #include "driver/sweep.hh"
 #include "traffic/generator.hh"
@@ -185,6 +186,29 @@ TEST(Traffic, NearestRankPercentileEdges)
     EXPECT_EQ(arch::nearestRank(four, 50.0), 2.0);   // ceil(2.0) = 2nd
     EXPECT_EQ(arch::nearestRank(four, 75.0), 3.0);
     EXPECT_EQ(arch::nearestRank(four, 100.0), 4.0);  // never past the end
+}
+
+TEST(Traffic, NearestRanksBySelectionMatchSortedNearestRank)
+{
+    // serve's picks (p50, p95, p99, max) and edge ranks, a repeat
+    // included; few distinct values so that most samples tie.
+    const std::vector<double> pcts = {0.5, 1.0,  25.0, 50.0, 50.0,
+                                      95.0, 99.0, 99.9, 100.0};
+    Rng rng(2026);
+    for (size_t n = 0; n <= 100; ++n) {
+        for (int rep = 0; rep < 4; ++rep) {
+            std::vector<double> samples(n);
+            for (double &x : samples)
+                x = double(rng.below(n / 4 + 1)) * 0.5;
+            std::vector<double> sorted = samples;
+            std::sort(sorted.begin(), sorted.end());
+            std::vector<double> got = arch::nearestRanks(samples, pcts);
+            ASSERT_EQ(got.size(), pcts.size());
+            for (size_t i = 0; i < pcts.size(); ++i)
+                EXPECT_EQ(got[i], arch::nearestRank(sorted, pcts[i]))
+                    << "n " << n << " rep " << rep << " p" << pcts[i];
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
