@@ -111,11 +111,7 @@ run(int argc, char **argv)
                 "sustained/s", "p50(ticks)", "p95(ticks)", "p99(ticks)",
                 "maxQueue", "stallTicks");
 
-    json::Value doc = json::Value::object();
-    doc.set("generator", "dlp-sim");
-    doc.set("paper",
-            "Universal Mechanisms for Data-Parallel Architectures "
-            "(MICRO 2003)");
+    json::Value doc = analysis::document();
     json::Value services = json::Value::array();
 
     size_t auditViolations = 0;

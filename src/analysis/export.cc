@@ -41,19 +41,25 @@ toJson(const VectorStat &v)
     return arr;
 }
 
+/** Findings as an array of objects, each walking its field table. */
+template <class Finding>
+json::Value
+findingsToJson(const std::vector<Finding> &findings)
+{
+    json::Value arr = json::Value::array();
+    for (const auto &f : findings) {
+        json::Value &entry = arr.push(json::Value::object());
+        arch::visitFields(f, json::fieldSetter(entry));
+    }
+    return arr;
+}
+
 json::Value
 auditToJson(const std::vector<arch::AuditFinding> &violations)
 {
     json::Value audit = json::Value::object();
     audit.set("violations", violations.size());
-    json::Value findings = json::Value::array();
-    for (const auto &f : violations) {
-        json::Value entry = json::Value::object();
-        entry.set("invariant", f.invariant);
-        entry.set("detail", f.detail);
-        findings.push(std::move(entry));
-    }
-    audit.set("findings", std::move(findings));
+    audit.set("findings", findingsToJson(violations));
     return audit;
 }
 
@@ -120,17 +126,12 @@ json::Value
 toJson(const arch::ExperimentResult &result)
 {
     json::Value obj = json::Value::object();
-    obj.set("kernel", result.kernel);
-    obj.set("config", result.config);
-    obj.set("verified", result.verified);
-    if (!result.error.empty())
-        obj.set("error", result.error);
-    obj.set("cycles", result.cycles);
-    obj.set("usefulOps", result.usefulOps);
-    obj.set("instsExecuted", result.instsExecuted);
-    obj.set("records", result.records);
-    obj.set("activations", result.activations);
-    obj.set("mappings", result.mappings);
+    arch::visitFields(result, [&](const char *key, const auto &f) {
+        // The one export-only rule: an empty error is omitted.
+        if (static_cast<const void *>(&f) != &result.error ||
+            !result.error.empty())
+            obj.set(key, f);
+    });
     obj.set("opsPerCycle", result.opsPerCycle());
 
     // Host (simulator) performance of this run. Kept in its own object
@@ -161,29 +162,16 @@ toJson(const arch::ExperimentResult &result)
         json::Value chk = json::Value::object();
         chk.set("errors", result.checkErrors);
         chk.set("warnings", result.checkWarnings);
-        json::Value findings = json::Value::array();
-        for (const auto &f : result.checkFindings) {
-            json::Value entry = json::Value::object();
-            entry.set("rule", f.rule);
-            entry.set("severity", f.severity);
-            entry.set("location", f.location);
-            entry.set("detail", f.detail);
-            findings.push(std::move(entry));
-        }
-        chk.set("findings", std::move(findings));
+        chk.set("findings", findingsToJson(result.checkFindings));
         obj.set("check", std::move(chk));
     }
 
     // Static cost-model predictions. Always present: the analysis is
     // pure, so the processor populates it unconditionally. Bound-side
     // fields feed verify::costInvariants; the rest are estimates.
-    {
-        json::Value cost = json::Value::object();
-        cost::visitFields(result.cost, [&](const char *key, const auto &f) {
-            cost.set(key, f);
-        });
-        obj.set("cost", std::move(cost));
-    }
+    json::Value cost = json::Value::object();
+    cost::visitFields(result.cost, json::fieldSetter(cost));
+    obj.set("cost", std::move(cost));
 
     // Periodic stat samples over simulated time, present only when a
     // sampling interval was configured (same shape-stability contract
@@ -290,8 +278,6 @@ toJson(const arch::ServiceResult &result)
     return obj;
 }
 
-namespace {
-
 json::Value
 document()
 {
@@ -302,8 +288,6 @@ document()
             "(MICRO 2003)");
     return doc;
 }
-
-} // namespace
 
 json::Value
 toJson(const std::vector<arch::ExperimentResult> &results)

@@ -6,21 +6,33 @@
  * (Figure 5, Table 4) can be consumed by plotting and regression
  * tooling without scraping the text tables.
  *
- * Document shapes:
+ * Document shapes ([..] optional: present only when the run audited,
+ * checked or sampled, so other documents and their goldens keep their
+ * shape):
  *
  *   GroupSnapshot  -> { "name", "scalars": {..}, "formulas": {..},
  *                       "distributions": { n: { samples, mean, stdev,
  *                       min, max, low, high, underflow, overflow,
  *                       buckets: [..] } }, "vectors": { n: [..] } }
- *   ExperimentResult -> { kernel, config, verified, cycles, usefulOps,
- *                       instsExecuted, records, activations, mappings,
- *                       opsPerCycle,
- *                       host: { events, eventsPerSec, seconds },
- *                       statGroups: [..] }
+ *   ExperimentResult -> { <arch::visitFields(ExperimentResult) keys:
+ *                       kernel, config, verified, error (omitted when
+ *                       empty), cycles, usefulOps, instsExecuted,
+ *                       records, activations, mappings>, opsPerCycle,
+ *                       host: { events, eventsPerSec, seconds, ffEpochs,
+ *                       ffIterations, ffEventsSaved, eventActivations },
+ *                       [audit: { violations, findings: [ <arch::
+ *                       visitFields(AuditFinding) keys> ] }],
+ *                       [check: { errors, warnings, findings: [ <arch::
+ *                       visitFields(CheckFinding) keys> ] }],
+ *                       cost: { <cost::visitFields keys> },
+ *                       [timeseries: { intervalTicks, stats, isLevel,
+ *                       ticks, samples }],
+ *                       statGroups: [ GroupSnapshot.. ] }
+ *   Grid           -> { "generator", "paper", "experiments": [ result.. ] }
  *
- * The "host" object is simulator (wall-clock) performance, not
- * simulated state; bit-identical regression diffs strip it.
- *   Grid           -> { "experiments": [ result.. ] } plus metadata
+ * The "host" object is simulator performance and fast-forwarding
+ * accounting, not simulated state; bit-identical regression diffs strip
+ * it.
  */
 
 #ifndef DLP_ANALYSIS_EXPORT_HH
@@ -51,6 +63,12 @@ json::Value toJson(const arch::ExperimentResult &result);
  * optional "audit" and "timeseries" objects.
  */
 json::Value toJson(const arch::ServiceResult &result);
+
+/**
+ * A document's header, { "generator", "paper" }, which every complete
+ * document written here (and serve_bench's) starts with.
+ */
+json::Value document();
 
 /**
  * A flat list of results (Table 4 style) as a complete document:

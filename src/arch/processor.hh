@@ -22,8 +22,10 @@
 #ifndef DLP_ARCH_PROCESSOR_HH
 #define DLP_ARCH_PROCESSOR_HH
 
+#include <concepts>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -51,6 +53,19 @@ struct AuditFinding
 };
 
 /**
+ * The audit finding's one field table: calls v(key, member) for every
+ * field, keyed and ordered as an exported finding.
+ */
+template <class Finding, class Visitor>
+    requires std::same_as<std::remove_const_t<Finding>, AuditFinding>
+void
+visitFields(Finding &f, Visitor &&v)
+{
+    v("invariant", f.invariant);
+    v("detail", f.detail);
+}
+
+/**
  * One diagnostic from the static SPDI verifier (src/check), flattened
  * the same way AuditFinding is so results can carry findings without
  * arch's interface depending on the check library.
@@ -62,6 +77,18 @@ struct CheckFinding
     std::string location; ///< block:iN.sM anchor
     std::string detail;   ///< human-readable specifics
 };
+
+/** The check finding's one field table, as the audit finding's. */
+template <class Finding, class Visitor>
+    requires std::same_as<std::remove_const_t<Finding>, CheckFinding>
+void
+visitFields(Finding &f, Visitor &&v)
+{
+    v("rule", f.rule);
+    v("severity", f.severity);
+    v("location", f.location);
+    v("detail", f.detail);
+}
 
 /** Outcome of running one workload on one configuration. */
 struct ExperimentResult
@@ -165,6 +192,47 @@ struct ExperimentResult
               kernel.c_str(), config.c_str());
     }
 };
+
+/**
+ * The result's field table of simulated scalars: calls v(key, member)
+ * for each, keyed and ordered as the store codec and the exporter write
+ * them. Both codec directions, the exporter and the tests walk it, so a
+ * scalar is added here and nowhere else.
+ */
+template <class Result, class Visitor>
+    requires std::same_as<std::remove_const_t<Result>, ExperimentResult>
+void
+visitFields(Result &r, Visitor &&v)
+{
+    v("kernel", r.kernel);
+    v("config", r.config);
+    v("verified", r.verified);
+    v("error", r.error);
+    v("cycles", r.cycles);
+    v("usefulOps", r.usefulOps);
+    v("instsExecuted", r.instsExecuted);
+    v("records", r.records);
+    v("activations", r.activations);
+    v("mappings", r.mappings);
+}
+
+/**
+ * The result's field table of host fields, the only ones two runs of
+ * one cell may disagree on; the codec writes them after the scalars.
+ * store::simulatedJson zeroes exactly these.
+ */
+template <class Result, class Visitor>
+    requires std::same_as<std::remove_const_t<Result>, ExperimentResult>
+void
+visitHostFields(Result &r, Visitor &&v)
+{
+    v("hostSeconds", r.hostSeconds);
+    v("hostEvents", r.hostEvents);
+    v("ffEpochs", r.ffEpochs);
+    v("ffIterations", r.ffIterations);
+    v("ffEventsSaved", r.ffEventsSaved);
+    v("eventActivations", r.eventActivations);
+}
 
 class TripsProcessor
 {

@@ -329,6 +329,16 @@ Value::members() const
 }
 
 /**
+ * A field-table visitor (the v of a visitFields(record, v)) that sets
+ * obj[key] = field for every field the table visits.
+ */
+inline auto
+fieldSetter(Value &obj)
+{
+    return [&obj](const char *key, const auto &f) { obj.set(key, f); };
+}
+
+/**
  * Serialize a document.
  *
  * @param indent spaces per nesting level; 0 emits a compact single line

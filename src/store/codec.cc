@@ -16,7 +16,7 @@ asU64(const json::Value &v)
     return v.asUInt64();
 }
 
-/** Decode one cost-summary field of whatever type the table gives. */
+/** Decode one table field of whatever type the table gives. */
 template <class T>
 void
 readField(const json::Value &v, T &out)
@@ -29,6 +29,33 @@ readField(const json::Value &v, T &out)
         out = v.asString();
     else
         out = T(asU64(v));
+}
+
+/** A field-table visitor that reads field = obj[key]; raises if absent. */
+auto
+reader(const json::Value &obj)
+{
+    return [&obj](const char *key, auto &f) { readField(obj.at(key), f); };
+}
+
+template <class Finding>
+json::Value
+findingsToJson(const std::vector<Finding> &findings)
+{
+    json::Value arr = json::Value::array();
+    for (const auto &f : findings) {
+        json::Value &entry = arr.push(json::Value::object());
+        arch::visitFields(f, json::fieldSetter(entry));
+    }
+    return arr;
+}
+
+template <class Finding>
+void
+findingsFromJson(const json::Value &arr, std::vector<Finding> &out)
+{
+    for (const auto &e : arr.items())
+        arch::visitFields(out.emplace_back(), reader(e));
 }
 
 json::Value
@@ -175,60 +202,23 @@ json::Value
 resultToJson(const arch::ExperimentResult &result)
 {
     json::Value obj = json::Value::object();
-    obj.set("kernel", result.kernel);
-    obj.set("config", result.config);
-    obj.set("verified", result.verified);
-    obj.set("error", result.error);
-    obj.set("cycles", result.cycles);
-    obj.set("usefulOps", result.usefulOps);
-    obj.set("instsExecuted", result.instsExecuted);
-    obj.set("records", result.records);
-    obj.set("activations", result.activations);
-    obj.set("mappings", result.mappings);
-    obj.set("hostSeconds", result.hostSeconds);
-    obj.set("hostEvents", result.hostEvents);
-    obj.set("ffEpochs", result.ffEpochs);
-    obj.set("ffIterations", result.ffIterations);
-    obj.set("ffEventsSaved", result.ffEventsSaved);
-    obj.set("eventActivations", result.eventActivations);
+    arch::visitFields(result, json::fieldSetter(obj));
+    arch::visitHostFields(result, json::fieldSetter(obj));
 
     obj.set("audited", result.audited);
-    if (result.audited) {
-        json::Value arr = json::Value::array();
-        for (const auto &f : result.auditViolations) {
-            json::Value e = json::Value::object();
-            e.set("invariant", f.invariant);
-            e.set("detail", f.detail);
-            arr.push(std::move(e));
-        }
-        obj.set("auditViolations", std::move(arr));
-    }
+    if (result.audited)
+        obj.set("auditViolations", findingsToJson(result.auditViolations));
 
     obj.set("checked", result.checked);
     if (result.checked) {
         obj.set("checkErrors", result.checkErrors);
         obj.set("checkWarnings", result.checkWarnings);
-        json::Value arr = json::Value::array();
-        for (const auto &f : result.checkFindings) {
-            json::Value e = json::Value::object();
-            e.set("rule", f.rule);
-            e.set("severity", f.severity);
-            e.set("location", f.location);
-            e.set("detail", f.detail);
-            arr.push(std::move(e));
-        }
-        obj.set("checkFindings", std::move(arr));
+        obj.set("checkFindings", findingsToJson(result.checkFindings));
     }
 
-    // Static cost model. Flat u64/double/bool/string fields; written
-    // raw so the round-trip is exact.
-    {
-        json::Value cost = json::Value::object();
-        cost::visitFields(result.cost, [&](const char *key, const auto &f) {
-            cost.set(key, f);
-        });
-        obj.set("cost", std::move(cost));
-    }
+    json::Value cost = json::Value::object();
+    cost::visitFields(result.cost, json::fieldSetter(cost));
+    obj.set("cost", std::move(cost));
 
     if (result.timeseries.present())
         obj.set("timeseries", timeseriesToJson(result.timeseries));
@@ -244,62 +234,21 @@ arch::ExperimentResult
 resultFromJson(const json::Value &doc)
 {
     arch::ExperimentResult r;
-    r.kernel = doc.at("kernel").asString();
-    r.config = doc.at("config").asString();
-    r.verified = doc.at("verified").asBool();
-    r.error = doc.at("error").asString();
-    r.cycles = asU64(doc.at("cycles"));
-    r.usefulOps = asU64(doc.at("usefulOps"));
-    r.instsExecuted = asU64(doc.at("instsExecuted"));
-    r.records = asU64(doc.at("records"));
-    r.activations = asU64(doc.at("activations"));
-    r.mappings = asU64(doc.at("mappings"));
-    r.hostSeconds = doc.at("hostSeconds").asNumber();
-    r.hostEvents = asU64(doc.at("hostEvents"));
-    // Fast-forwarding counters: absent in pre-epoch documents, which by
-    // construction simulated every activation through the event queue.
-    if (const json::Value *v = doc.find("ffEpochs"))
-        r.ffEpochs = asU64(*v);
-    if (const json::Value *v = doc.find("ffIterations"))
-        r.ffIterations = asU64(*v);
-    if (const json::Value *v = doc.find("ffEventsSaved"))
-        r.ffEventsSaved = asU64(*v);
-    if (const json::Value *v = doc.find("eventActivations"))
-        r.eventActivations = asU64(*v);
-    else
-        r.eventActivations = r.activations;
+    arch::visitFields(r, reader(doc));
+    arch::visitHostFields(r, reader(doc));
 
     r.audited = doc.at("audited").asBool();
-    if (r.audited) {
-        for (const auto &e : doc.at("auditViolations").items()) {
-            arch::AuditFinding f;
-            f.invariant = e.at("invariant").asString();
-            f.detail = e.at("detail").asString();
-            r.auditViolations.push_back(std::move(f));
-        }
-    }
+    if (r.audited)
+        findingsFromJson(doc.at("auditViolations"), r.auditViolations);
 
     r.checked = doc.at("checked").asBool();
     if (r.checked) {
         r.checkErrors = asU64(doc.at("checkErrors"));
         r.checkWarnings = asU64(doc.at("checkWarnings"));
-        for (const auto &e : doc.at("checkFindings").items()) {
-            arch::CheckFinding f;
-            f.rule = e.at("rule").asString();
-            f.severity = e.at("severity").asString();
-            f.location = e.at("location").asString();
-            f.detail = e.at("detail").asString();
-            r.checkFindings.push_back(std::move(f));
-        }
+        findingsFromJson(doc.at("checkFindings"), r.checkFindings);
     }
 
-    // Cost summary: absent in pre-cost-model documents, which keep the
-    // default (analyzed == false) summary.
-    if (const json::Value *v = doc.find("cost")) {
-        cost::visitFields(r.cost, [&](const char *key, auto &f) {
-            readField(v->at(key), f);
-        });
-    }
+    cost::visitFields(r.cost, reader(doc.at("cost")));
 
     if (const json::Value *ts = doc.find("timeseries"))
         r.timeseries = timeseriesFromJson(*ts);
@@ -307,6 +256,13 @@ resultFromJson(const json::Value &doc)
     for (const auto &g : doc.at("statGroups").items())
         r.statGroups.push_back(snapshotFromJson(g));
     return r;
+}
+
+std::string
+simulatedJson(arch::ExperimentResult result)
+{
+    arch::visitHostFields(result, [](const char *, auto &f) { f = {}; });
+    return json::write(resultToJson(result));
 }
 
 } // namespace dlp::store

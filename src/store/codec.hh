@@ -16,10 +16,16 @@
  * sampled timeseries, host-performance numbers (historical values from
  * the run that computed the cell) — so a store hit is indistinguishable
  * from a recompute, modulo wall-clock.
+ *
+ * Both directions walk the same field tables (arch::visitFields,
+ * arch::visitHostFields, cost::visitFields), so they agree on every key
+ * and its order by construction.
  */
 
 #ifndef DLP_STORE_CODEC_HH
 #define DLP_STORE_CODEC_HH
+
+#include <string>
 
 #include "arch/processor.hh"
 #include "common/json.hh"
@@ -32,8 +38,20 @@ constexpr uint64_t codecFormatVersion = 1;
 /** Serialize a result with enough fidelity to reconstruct it exactly. */
 json::Value resultToJson(const arch::ExperimentResult &result);
 
-/** Inverse of resultToJson; raises FatalError on malformed documents. */
+/**
+ * Inverse of resultToJson. Every key the tables name is required: a
+ * document missing one (or holding a mistyped value) raises PanicError,
+ * which the result store counts as a corrupt entry and a miss.
+ */
 arch::ExperimentResult resultFromJson(const json::Value &doc);
+
+/**
+ * The codec text of a result with its host fields (visitHostFields)
+ * zeroed: what every run of one simulated cell must reproduce byte for
+ * byte, however the host ran it (serial or parallel, fast-forwarded or
+ * not).
+ */
+std::string simulatedJson(arch::ExperimentResult result);
 
 } // namespace dlp::store
 

@@ -7,7 +7,6 @@
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "check/verify.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "epoch/epoch.hh"
@@ -322,23 +321,6 @@ runOnce(const FuzzCase &fc, const std::string &config)
     return cpu.run(wl);
 }
 
-/**
- * Canonical serialization of a result with the host-side fields -- the
- * only ones allowed to differ between a fully simulated and a
- * fast-forwarded run -- scrubbed out.
- */
-std::string
-scrubbedJson(arch::ExperimentResult res)
-{
-    res.hostSeconds = 0.0;
-    res.hostEvents = 0;
-    res.ffEpochs = 0;
-    res.ffIterations = 0;
-    res.ffEventsSaved = 0;
-    res.eventActivations = 0;
-    return json::write(store::resultToJson(res));
-}
-
 std::string
 firstJsonDiff(const std::string &a, const std::string &b)
 {
@@ -361,7 +343,7 @@ runCase(const FuzzCase &fc, const std::string &config, bool audit,
         arch::ExperimentResult res;
         if (ffDiff) {
             // Differential: the same case with the fast-forwarder off,
-            // then on. Everything but the scrubbed host fields must be
+            // then on. Everything but the host fields must be
             // bit-identical. The audit below runs on the ff-on result,
             // so its conservation laws see the interesting path.
             epoch::FastForwardGuard guard;
@@ -369,8 +351,8 @@ runCase(const FuzzCase &fc, const std::string &config, bool audit,
             arch::ExperimentResult off = runOnce(fc, config);
             epoch::setFastForwardEnabled(true);
             res = runOnce(fc, config);
-            std::string a = scrubbedJson(off);
-            std::string b = scrubbedJson(res);
+            std::string a = store::simulatedJson(off);
+            std::string b = store::simulatedJson(res);
             if (a != b)
                 return {true, "fastforward", firstJsonDiff(a, b)};
         } else {

@@ -10,7 +10,6 @@
 
 #include "arch/configs.hh"
 #include "arch/processor.hh"
-#include "common/json.hh"
 #include "epoch/epoch.hh"
 #include "epoch/passes.hh"
 #include "kernels/workload.hh"
@@ -31,23 +30,6 @@ runOne(const std::string &kernel, const std::string &config,
         kernel, scale ? scale : kernels::defaultScale(kernel), 1);
     arch::TripsProcessor cpu(arch::configByName(config));
     return cpu.run(*wl);
-}
-
-/**
- * Canonical serialization with the host-side measurement fields -- the
- * only ones allowed to differ between a simulated and a fast-forwarded
- * run -- scrubbed out.
- */
-std::string
-scrubbed(arch::ExperimentResult res)
-{
-    res.hostSeconds = 0.0;
-    res.hostEvents = 0;
-    res.ffEpochs = 0;
-    res.ffIterations = 0;
-    res.ffEventsSaved = 0;
-    res.eventActivations = 0;
-    return json::write(store::resultToJson(res));
 }
 
 /** RAII save/restore of the per-epoch replay cap. */
@@ -76,7 +58,7 @@ TEST(Epoch, ResidentPlanFastForwardsBitIdentically)
     EXPECT_GT(on.ffIterations, 0u);
     EXPECT_GT(on.ffEventsSaved, 0u);
     EXPECT_LT(on.hostEvents, off.hostEvents);
-    EXPECT_EQ(scrubbed(off), scrubbed(on));
+    EXPECT_EQ(store::simulatedJson(off), store::simulatedJson(on));
 }
 
 TEST(Epoch, GroupUnitsFastForwardMultiSegmentPlans)
@@ -93,7 +75,8 @@ TEST(Epoch, GroupUnitsFastForwardMultiSegmentPlans)
 
         EXPECT_GT(on.ffEpochs, 0u) << kernel;
         EXPECT_GT(on.ffIterations, 0u) << kernel;
-        EXPECT_EQ(scrubbed(off), scrubbed(on)) << kernel;
+        EXPECT_EQ(store::simulatedJson(off), store::simulatedJson(on))
+            << kernel;
     }
 }
 
@@ -114,7 +97,7 @@ TEST(Epoch, CappedEpochsInterleaveWithEventSimulation)
     auto capped = runOne("convert", "S");
 
     EXPECT_GT(capped.ffEpochs, 1u);
-    EXPECT_EQ(scrubbed(off), scrubbed(capped));
+    EXPECT_EQ(store::simulatedJson(off), store::simulatedJson(capped));
 }
 
 TEST(Epoch, NonSummarizableWorkloadFallsBackCleanly)

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/export.hh"
 #include "driver/sweep.hh"
@@ -142,16 +143,60 @@ TEST(StoreCodec, CountersAboveDoublePrecisionStayExact)
 {
     // A very long simulation's uint64 counters exceed 2^53; the codec
     // and the JSON layer must carry them bit-exactly, not through a
-    // double.
+    // double. Every integer field the tables reach gets its own odd
+    // value above 2^53 (none of them a double), so a read walk that
+    // drifted from the write walk lands a value in the wrong field.
+    auto counters = [](uint64_t &next) {
+        return [&next](const char *, auto &f) {
+            if constexpr (std::is_same_v<std::remove_cvref_t<decltype(f)>,
+                                         uint64_t>) {
+                f = next;
+                next -= 1ull << 59;
+            }
+        };
+    };
     arch::ExperimentResult original = driver::runTask(quickTask());
-    original.cycles = (1ull << 53) + 1;          // first non-double
-    original.instsExecuted = 18446744073709551615ull;  // 2^64 - 1
-    original.hostEvents = (1ull << 62) + 12345;
+    uint64_t next = ~0ull;  // 2^64 - 1 first
+    arch::visitFields(original, counters(next));
+    arch::visitHostFields(original, counters(next));
+    ASSERT_GT(next + (1ull << 59), 1ull << 53);
+
     arch::ExperimentResult decoded = store::resultFromJson(
         json::parse(json::write(store::resultToJson(original), 0)));
-    EXPECT_EQ(decoded.cycles, original.cycles);
-    EXPECT_EQ(decoded.instsExecuted, original.instsExecuted);
-    EXPECT_EQ(decoded.hostEvents, original.hostEvents);
+    uint64_t expected = ~0ull;
+    auto check = [&](const char *key, const auto &f) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(f)>,
+                                     uint64_t>) {
+            EXPECT_EQ(f, expected) << key;
+            expected -= 1ull << 59;
+        }
+    };
+    arch::visitFields(decoded, check);
+    arch::visitHostFields(decoded, check);
+}
+
+TEST(StoreCodec, DocumentMissingATableKeyIsRejected)
+{
+    // The store key hashes the key format and code versions, so every
+    // document under a current key carries every table key: a missing
+    // one is a defect, never an older shape to default.
+    json::Value full = store::resultToJson(driver::runTask(quickTask()));
+    store::ResultStore rs(freshDir("missing"));
+    uint64_t corrupt = 0;
+    for (const char *dropped : {"cost", "eventActivations"}) {
+        json::Value doc = json::Value::object();
+        for (const auto &m : full.members())
+            if (m.key() != dropped)
+                doc.set(m.key(), m.value());
+        EXPECT_ANY_THROW(store::resultFromJson(doc)) << dropped;
+
+        std::string key = keyFor(quickTask("fft", "S", ++corrupt));
+        rs.insertRaw(key, doc, "fft");
+        arch::ExperimentResult r;
+        EXPECT_FALSE(rs.lookup(key, r)) << dropped;
+        EXPECT_EQ(rs.stats().corrupt, corrupt) << dropped;
+        EXPECT_FALSE(fs::exists(rs.entryPath(key))) << dropped;
+    }
 }
 
 TEST(ResultStore, InsertLookupVerifyStats)
