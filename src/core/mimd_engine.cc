@@ -1,9 +1,6 @@
 #include "core/mimd_engine.hh"
 
 #include <algorithm>
-#include <cinttypes>
-
-#include "common/bitutils.hh"
 
 namespace dlp::core {
 
@@ -13,10 +10,9 @@ using isa::SeqInst;
 
 MimdEngine::MimdEngine(const MachineParams &params,
                        mem::MemorySystem &memory)
-    : m(params), loadWindow(std::max(1u, params.mimdOutstandingLoads)),
-      mem(memory), mesh(params.rows, params.cols, params.hopTicks),
+    : m(params), mem(memory),
+      mesh(params.rows, params.cols, params.hopTicks),
       l0Ports(params.tiles(), sim::Resource(ticksPerCycle)),
-      loadSlots(size_t(params.tiles()) * loadWindow),
       readySet(params.tiles())
 {
     // Tiles step in global time order and never request below the tick
@@ -54,6 +50,71 @@ MimdEngine::setTables(const std::vector<kernels::Table> *kernelTables)
     }
 }
 
+/** mimd::step's policy: real words, the contended calendars. */
+struct MimdEngine::Contended
+{
+    MimdEngine &e;
+    TileState &ts;
+
+    std::optional<Word> value(uint8_t r) const { return ts.regs[r]; }
+
+    void
+    alu(const SeqInst &si)
+    {
+        Word b = si.immB ? si.imm : ts.regs[si.rs[1]];
+        ts.regs[si.rd] = isa::evalOp(si.op, ts.regs[si.rs[0]], b,
+                                     ts.regs[si.rs[2]], si.imm);
+    }
+
+    Tick
+    load(const SeqInst &si, Tick t)
+    {
+        const MachineParams &m = e.m;
+        unsigned row = ts.here.row;
+        Word a = ts.regs[si.rs[0]];
+        Word &value = ts.regs[si.rd];
+        bool tld = si.op == Op::Tld;
+        if (tld) {
+            panic_if(!e.tables || si.tableId >= e.tables->size(),
+                     "Tld without table %u", si.tableId);
+            const auto &table = (*e.tables)[si.tableId].data;
+            value = table[a & (table.size() - 1)];
+            if (m.mech.l0DataStore)
+                return e.l0Ports[row * m.cols + ts.here.col].acquire(t) +
+                       cyclesToTicks(m.l0Latency);
+        }
+        Tick atEdge = e.mesh.routeToEdge(ts.here, t + ticksPerCycle);
+        Tick served;
+        if (tld) {
+            // No L0 store: the table lives in cached memory.
+            Addr byteAddr = e.tableByteBase[si.tableId] + a * wordBytes;
+            served = e.mem.cachedTiming(row, byteAddr, atEdge, false);
+        } else if (si.space != MemSpace::Smc) {
+            served = e.mem.cachedRead(row, a + si.imm, atEdge, value);
+        } else {
+            served = e.mem.streamRead(row, a + si.imm, 1, atEdge, &value);
+            if (m.mech.smc) {
+                // The response rides the row's streaming channel.
+                Tick grant = e.mem.smc().channelLane(row, 0).acquire(served);
+                return grant + 1 + ts.here.col * m.hopTicks;
+            }
+        }
+        return e.mesh.routeFromEdge(row, ts.here, served);
+    }
+
+    Tick
+    store(const SeqInst &si, Tick t)
+    {
+        unsigned row = ts.here.row;
+        Addr addr = ts.regs[si.rs[0]] + si.imm;
+        Word value = ts.regs[si.rs[1]];
+        Tick atEdge = e.mesh.routeToEdge(ts.here, t + ticksPerCycle);
+        return si.space == MemSpace::Smc
+                   ? e.mem.streamWrite(row, addr, value, atEdge)
+                   : e.mem.cachedWrite(row, addr, value, atEdge);
+    }
+};
+
 RunStats
 MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
 {
@@ -68,10 +129,7 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
         for (const auto &t : *tables)
             setupWords += t.data.size();
     }
-    start += cyclesToTicks(
-        divCeil(std::max<uint64_t>(setupWords, 1),
-                m.memParams.smcWordsPerCycle) +
-        m.mapOverhead);
+    start += mimd::setupTicks(m, setupWords);
     stats.mappings = 1;
 
     std::vector<TileState> tiles(m.tiles());
@@ -81,7 +139,7 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
                              static_cast<uint8_t>(t % m.cols)};
         ts.regs.assign(m.tileRegs, 0);
         ts.ready.assign(m.tileRegs, start);
-        ts.loads = &loadSlots[size_t(t) * loadWindow];
+        ts.loads = mimd::LoadWindow(m);
         for (const auto &init : plan.initialRegs)
             ts.regs.at(init.first) = init.second;
         ts.regs.at(plan.recIdxReg) = t;
@@ -110,23 +168,33 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
 
         // If this tile is dependency-stalled past the next tile's turn,
         // give way and come back at the stall-resolution time.
-        Tick t = issueTime(plan, ts);
+        Tick t = mimd::issueTime(plan.program, ts);
         if (!readySet.empty() && t > readySet.minTick()) {
             readySet.push(t, tileIdx);
             continue;
         }
 
-        step(plan, ts, t, stats);
+        const SeqInst &si = plan.program.code[ts.pc];
+        fatal_if(++ts.executed > instLimit,
+                 "MIMD tile %u exceeded the instruction limit "
+                 "(runaway loop in %s?)",
+                 tileIdx, plan.name.c_str());
+        ++hostSteps;
+        if (t > ts.cursor)
+            operandWait->sample(double(t - ts.cursor));
+        ++stats.instsExecuted;
+        stats.usefulOps += !si.overhead;
+        OBS_SIM_INSTANT(Exec, "step", t, (uint64_t(tileIdx) << 32) | ts.pc);
+        Contended pol{*this, ts};
+        ts.lastEffect = std::max(ts.lastEffect,
+                                 mimd::step(pol, m, plan.program, ts, t));
         hiTick = std::max(hiTick, ts.cursor);
         if (sampler)
             sampler->maybeSample(hiTick);
 
         if (ts.pc >= plan.program.code.size()) {
-            Tick tileEnd = std::max(ts.cursor, ts.lastEffect);
-            for (unsigned i = 0; i < ts.loadCount; ++i)
-                tileEnd = std::max(
-                    tileEnd, ts.loads[(ts.loadHead + i) % loadWindow]);
-            end = std::max(end, tileEnd);
+            // Every load's completion is in lastEffect already.
+            end = std::max({end, ts.cursor, ts.lastEffect});
         } else {
             readySet.push(ts.cursor, tileIdx);
         }
@@ -146,151 +214,6 @@ MimdEngine::run(const sched::MimdPlan &plan, uint64_t numRecords)
     stats.cycles = ticksToCycles(end - curTick);
     curTick = end;
     return stats;
-}
-
-Tick
-MimdEngine::issueTime(const sched::MimdPlan &plan, const TileState &ts) const
-{
-    const SeqInst &si = plan.program.code[ts.pc];
-    const auto &info = isa::opInfo(si.op);
-    Tick t = ts.cursor;
-    for (unsigned s = 0; s < info.numSrcs; ++s) {
-        if (s == 1 && si.immB)
-            continue;
-        t = std::max(t, ts.ready[si.rs[s]]);
-    }
-    return t;
-}
-
-Tick
-MimdEngine::waitForLoadSlot(TileState &ts, Tick t) const
-{
-    if (ts.loadCount == loadWindow) {
-        t = std::max(t, ts.loads[ts.loadHead]);
-        ts.loadHead = ts.loadHead + 1 == loadWindow ? 0 : ts.loadHead + 1;
-        --ts.loadCount;
-    }
-    return t;
-}
-
-void
-MimdEngine::recordLoad(TileState &ts, Tick done) const
-{
-    unsigned slot = ts.loadHead + ts.loadCount;
-    ts.loads[slot >= loadWindow ? slot - loadWindow : slot] = done;
-    ++ts.loadCount;
-}
-
-void
-MimdEngine::step(const sched::MimdPlan &plan, TileState &ts, Tick t,
-                 RunStats &stats)
-{
-    const auto &code = plan.program.code;
-    const SeqInst &si = code[ts.pc];
-    const auto &info = isa::opInfo(si.op);
-    unsigned tile = ts.here.row * m.cols + ts.here.col;
-    unsigned row = ts.here.row;
-
-    fatal_if(++ts.executed > instLimit,
-             "MIMD tile %u exceeded the instruction limit "
-             "(runaway loop in %s?)",
-             tile, plan.name.c_str());
-    ++hostSteps;
-
-    if (t > ts.cursor)
-        operandWait->sample(double(t - ts.cursor));
-    ++stats.instsExecuted;
-    if (!si.overhead)
-        ++stats.usefulOps;
-    OBS_SIM_INSTANT(Exec, "step", t, (uint64_t(tile) << 32) | ts.pc);
-
-    Word a = ts.regs[si.rs[0]];
-    Word b = si.immB ? si.imm : ts.regs[si.rs[1]];
-
-    switch (si.op) {
-      case Op::Ld: {
-        t = waitForLoadSlot(ts, t);
-        Addr addr = a + si.imm;
-        Word value = 0;
-        Tick atEdge = mesh.routeToEdge(ts.here, t + ticksPerCycle);
-        Tick done;
-        if (si.space == MemSpace::Smc && m.mech.smc) {
-            Tick served = mem.streamRead(row, addr, 1, atEdge, &value);
-            // The response rides the row's streaming channel.
-            Tick grant = mem.smc().channelLane(row, 0).acquire(served);
-            done = grant + 1 + ts.here.col * m.hopTicks;
-        } else if (si.space == MemSpace::Smc) {
-            Tick served = mem.streamRead(row, addr, 1, atEdge, &value);
-            done = mesh.routeFromEdge(row, ts.here, served);
-        } else {
-            Tick served = mem.cachedRead(row, addr, atEdge, value);
-            done = mesh.routeFromEdge(row, ts.here, served);
-        }
-        ts.regs[si.rd] = value;
-        ts.ready[si.rd] = done;
-        recordLoad(ts, done);
-        ts.lastEffect = std::max(ts.lastEffect, done);
-        break;
-      }
-      case Op::St: {
-        Addr addr = a + si.imm;
-        Tick atEdge = mesh.routeToEdge(ts.here, t + ticksPerCycle);
-        Tick done;
-        if (si.space == MemSpace::Smc)
-            done = mem.streamWrite(row, addr, ts.regs[si.rs[1]], atEdge);
-        else
-            done = mem.cachedWrite(row, addr, ts.regs[si.rs[1]], atEdge);
-        ts.lastEffect = std::max(ts.lastEffect, done);
-        break;
-      }
-      case Op::Tld: {
-        panic_if(!tables || si.tableId >= tables->size(),
-                 "Tld without table %u", si.tableId);
-        const auto &table = (*tables)[si.tableId].data;
-        Word value = table[a & (table.size() - 1)];
-        Tick done;
-        if (m.mech.l0DataStore) {
-            Tick grant = l0Ports[tile].acquire(t);
-            done = grant + cyclesToTicks(m.l0Latency);
-        } else {
-            // No L0 store: the table lives in cached memory.
-            t = waitForLoadSlot(ts, t);
-            Tick atEdge = mesh.routeToEdge(ts.here, t + ticksPerCycle);
-            Addr byteAddr = tableByteBase[si.tableId] + a * wordBytes;
-            Tick served = mem.cachedTiming(row, byteAddr, atEdge, false);
-            done = mesh.routeFromEdge(row, ts.here, served);
-            recordLoad(ts, done);
-        }
-        ts.regs[si.rd] = value;
-        ts.ready[si.rd] = done;
-        ts.lastEffect = std::max(ts.lastEffect, done);
-        break;
-      }
-      case Op::Br:
-        ts.cursor = t + ticksPerCycle;
-        ts.pc = si.branchTarget;
-        return;
-      case Op::Beqz:
-      case Op::Bnez: {
-        bool taken = (si.op == Op::Beqz) ? (a == 0) : (a != 0);
-        ts.cursor = t + ticksPerCycle;
-        ts.pc = taken ? si.branchTarget : ts.pc + 1;
-        return;
-      }
-      case Op::Halt:
-        ts.cursor = t + ticksPerCycle;
-        ts.pc = code.size();
-        return;
-      default: {
-        Word c = ts.regs[si.rs[2]];
-        ts.regs[si.rd] = isa::evalOp(si.op, a, b, c, si.imm);
-        ts.ready[si.rd] = t + cyclesToTicks(info.latency);
-        break;
-      }
-    }
-
-    ts.cursor = t + ticksPerCycle; // one issue per cycle
-    ++ts.pc;
 }
 
 } // namespace dlp::core

@@ -4,14 +4,14 @@
  * kernel's sequential program from its L0 instruction store with a local
  * program counter (Section 4.3, Figure 4c).
  *
- * Tiles are simple in-order fetch / register-read / execute pipelines:
- * one instruction per cycle, register scoreboarding for long-latency
- * results, and a small window of outstanding loads. Every load and store
- * is routed individually through the mesh to the row's edge port -- the
- * routing traffic that makes the plain M configuration lose to the
- * SIMD-style configurations on regular kernels (Section 5.3) -- while
- * table lookups hit the tile-local L0 data store when that mechanism is
- * enabled.
+ * Tiles are simple in-order pipelines; mimd::step (core/mimd_step.hh)
+ * is their timing rule, which the cost oracle walks too, and the
+ * engine's policy for it acquires the contended calendars. Every load
+ * and store is routed individually through the mesh to the row's edge
+ * port -- the routing traffic that makes the plain M configuration lose
+ * to the SIMD-style configurations on regular kernels (Section 5.3) --
+ * while table lookups hit the tile-local L0 data store when that
+ * mechanism is enabled.
  *
  * The tiles interleave in global simulated-time order: a sim::ReadySet
  * (sim/ready_set.hh) holds every running tile at the tick it may issue
@@ -19,9 +19,7 @@
  * instruction and goes back in at its next issue cycle. A tile whose
  * operands are not ready before the next tile's turn steps nothing: it
  * goes back in at the tick its operands arrive. The popped tick is the
- * floor of every shared calendar. Each tile's outstanding loads sit in
- * a fixed ring of max(1, mimdOutstandingLoads) completion ticks; a load
- * into a full window waits for the oldest.
+ * floor of every shared calendar.
  */
 
 #ifndef DLP_CORE_MIMD_ENGINE_HH
@@ -30,7 +28,7 @@
 #include <vector>
 
 #include "core/block_engine.hh" // RunStats
-#include "core/machine.hh"
+#include "core/mimd_step.hh"
 #include "kernels/ir.hh"
 #include "mem/memory_system.hh"
 #include "noc/mesh.hh"
@@ -85,51 +83,25 @@ class MimdEngine
     void setSampler(obs::StatSampler *s) { sampler = s; }
 
   private:
-    /** Per-tile architectural and pipeline state. */
-    struct TileState
+    /** Per-tile architectural state around its pipeline. */
+    struct TileState : mimd::Pipeline
     {
         noc::Coord here{0, 0};
         std::vector<Word> regs;
-        std::vector<Tick> ready;
-        /// Completion ticks of the outstanding loads, oldest first: a
-        /// ring of loadWindow slots in the engine's loadSlots.
-        Tick *loads = nullptr;
-        unsigned loadHead = 0;
-        unsigned loadCount = 0;
-        Tick cursor = 0;
         Tick lastEffect = 0;
-        uint64_t pc = 0;
         uint64_t executed = 0;
     };
 
-    /** Dependency-stall-resolved issue time of the tile's next inst. */
-    Tick issueTime(const sched::MimdPlan &plan, const TileState &ts) const;
-
-    /** Execute the tile's next instruction, issuing at tick t. */
-    void step(const sched::MimdPlan &plan, TileState &ts, Tick t,
-              RunStats &stats);
-
-    /**
-     * Issue tick t, delayed if the tile's load window is full until its
-     * oldest outstanding load completes (which frees that slot).
-     */
-    Tick waitForLoadSlot(TileState &ts, Tick t) const;
-
-    /** Record an outstanding load completing at done. */
-    void recordLoad(TileState &ts, Tick done) const;
+    struct Contended; ///< mimd::step's policy
 
     const MachineParams m;
-    /// Loads a tile may have in flight (mimdOutstandingLoads, at least
-    /// one, as the cost model's timing shadow assumes).
-    const unsigned loadWindow;
     mem::MemorySystem &mem;
     noc::MeshNetwork mesh;
 
     const std::vector<kernels::Table> *tables = nullptr;
     std::vector<Addr> tableByteBase;
     std::vector<sim::Resource> l0Ports;
-    std::vector<Tick> loadSlots; ///< tiles x loadWindow load rings
-    sim::ReadySet readySet;      ///< tiles waiting to step, by tick
+    sim::ReadySet readySet; ///< tiles waiting to step, by tick
 
     StatGroup engStats{"core.mimd"};
     Distribution *operandWait = nullptr; ///< scoreboard stall per inst

@@ -21,6 +21,7 @@
 #include "check/graph.hh"
 #include "common/bitutils.hh"
 #include "isa/opcodes.hh"
+#include "mem/smc.hh"
 #include "noc/mesh.hh"
 
 namespace dlp::cost {
@@ -31,6 +32,7 @@ using isa::MappedBlock;
 using isa::MappedInst;
 using isa::MemSpace;
 using isa::Op;
+using mem::smcBankTicks;
 
 /**
  * Named busy-tick demand per steady activation, keyed by resource
@@ -53,18 +55,6 @@ key(const char *cls, unsigned a, unsigned b)
     char buf[48];
     std::snprintf(buf, sizeof buf, "%s(%u,%u)", cls, a, b);
     return buf;
-}
-
-/** SMC bank-port busy ticks for an nwords burst (SmcSubsystem::read). */
-uint64_t
-smcBurstTicks(const core::MachineParams &m, unsigned nwords)
-{
-    unsigned wordsPerTick = m.memParams.smcWordsPerCycle / ticksPerCycle;
-    if (wordsPerTick == 0)
-        wordsPerTick = 1;
-    constexpr unsigned lineWords = 4;
-    uint64_t lines = divCeil(nwords, lineWords);
-    return divCeil(lines * lineWords, wordsPerTick);
 }
 
 uint64_t
@@ -151,6 +141,7 @@ pathTimes(const MappedBlock &block, const check::BlockGraph &g,
     const uint64_t hop = m.hopTicks;
     const uint64_t l1Min = cyclesToTicks(m.memParams.l1HitLatency);
     const uint64_t bankLat = cyclesToTicks(m.memParams.smcLatency);
+    const unsigned smcWidth = mem::smcWordsPerTick(m.memParams);
 
     for (uint32_t i : g.topo) {
         const MappedInst &mi = block.insts[i];
@@ -189,7 +180,7 @@ pathTimes(const MappedBlock &block, const check::BlockGraph &g,
             break;
           case Op::Ld:
             if (mi.space == MemSpace::Smc && m.mech.smc) {
-                uint64_t served = edge + smcBurstTicks(m, 1) + bankLat;
+                uint64_t served = edge + smcBankTicks(smcWidth, 1) + bankLat;
                 done = served + 1 + mi.col * hop;
             } else {
                 // Cached round trip; bank distance and hit state are
@@ -200,7 +191,7 @@ pathTimes(const MappedBlock &block, const check::BlockGraph &g,
             break;
           case Op::Lmw:
             if (m.mech.smc)
-                done = edge + smcBurstTicks(m, mi.lmwCount) + bankLat;
+                done = edge + smcBankTicks(smcWidth, mi.lmwCount) + bankLat;
             else
                 done = edge + l1Min; // per-word cached fallback, min
             break;
@@ -240,6 +231,7 @@ analyzeBlock(const MappedBlock &block, const core::MachineParams &m)
                                         : sc.mapTicks;
 
     // --- Pressure and hop mass over the steady (re-firing) set ----------
+    const unsigned smcWidth = mem::smcWordsPerTick(m.memParams);
     Pressure pressure;
     NetTally net{pressure};
     uint64_t nonRegTile = 0;
@@ -269,7 +261,7 @@ analyzeBlock(const MappedBlock &block, const core::MachineParams &m)
             pressure[key("issue", row, col)] += ticksPerCycle;
             net.toEdge(row, col);
             if (mi.space == MemSpace::Smc && m.mech.smc) {
-                uint64_t units = smcBurstTicks(m, 1);
+                uint64_t units = smcBankTicks(smcWidth, 1);
                 pressure[key("smcBank", row)] += units;
                 sc.smcReadUnits += units;
                 net.channel(row, 0, row, col);
@@ -282,7 +274,7 @@ analyzeBlock(const MappedBlock &block, const core::MachineParams &m)
             pressure[key("issue", row, col)] += ticksPerCycle;
             net.toEdge(row, col);
             if (m.mech.smc) {
-                uint64_t units = smcBurstTicks(m, mi.lmwCount);
+                uint64_t units = smcBankTicks(smcWidth, mi.lmwCount);
                 pressure[key("smcBank", row)] += units;
                 sc.smcReadUnits += units;
             }

@@ -9,53 +9,52 @@
  * program's control-flow graph, taken independently for three weight
  * functions: instruction count (the per-tile serial floor), bank-port
  * ticks and store-buffer ticks (the per-row memory floors).
+ *
+ * The throughput estimate walks one record through the engine's own
+ * per-instruction rule, core::mimd::step, under an uncontended policy:
+ * constant-folded register words and the fixed middle-of-the-row load
+ * latencies of RowLatencies, which the non-converged fallback prices
+ * with too.
  */
 
 #include "cost/cost.hh"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "common/bitutils.hh"
+#include "core/mimd_step.hh"
 #include "isa/opcodes.hh"
 #include "isa/seq.hh"
+#include "mem/smc.hh"
 
 namespace dlp::cost {
 
 namespace {
 
+using isa::MemSpace;
 using isa::Op;
 using isa::SeqInst;
 using isa::SeqProgram;
 
+/// Steps the walk takes before it gives up on a loop it cannot fold.
+constexpr uint64_t walkBudget = uint64_t(1) << 20;
+
+/** Control-flow successors of every instruction, as mimd::step goes. */
 std::vector<std::vector<uint32_t>>
 successors(const SeqProgram &prog)
 {
     size_t n = prog.code.size();
     std::vector<std::vector<uint32_t>> succ(n);
     for (size_t i = 0; i < n; ++i) {
-        const SeqInst &si = prog.code[i];
-        switch (si.op) {
-          case Op::Br:
-            if (si.branchTarget < n)
-                succ[i].push_back(si.branchTarget);
-            break;
-          case Op::Beqz:
-          case Op::Bnez:
-            if (si.branchTarget < n)
-                succ[i].push_back(si.branchTarget);
-            if (i + 1 < n)
-                succ[i].push_back(uint32_t(i + 1));
-            break;
-          case Op::Halt:
-            break;
-          default:
-            if (i + 1 < n)
-                succ[i].push_back(uint32_t(i + 1));
-            break;
-        }
+        Op op = prog.code[i].op;
+        uint32_t target = prog.code[i].branchTarget;
+        if ((op == Op::Br || op == Op::Beqz || op == Op::Bnez) && target < n)
+            succ[i].push_back(target);
+        if (op != Op::Br && op != Op::Halt && i + 1 < n)
+            succ[i].push_back(uint32_t(i + 1));
     }
     return succ;
 }
@@ -115,32 +114,98 @@ minCycleWeight(const std::vector<std::vector<uint32_t>> &succ,
     return best == inf ? 0 : best;
 }
 
-/** SMC bank-port busy ticks for a one-word access. */
-uint64_t
-scalarBurstTicks(const core::MachineParams &m)
+/**
+ * Uncontended completion ticks, from issue, of a middle-of-the-row
+ * tile's loads: the walk's memory policy and the fallback's prices.
+ * Cached-space loads are irregular by construction (textures and
+ * pointers: data-dependent addresses over a footprint the line-grained
+ * caches hold poorly), so they miss through to main memory. Table-space
+ * lookups are the opposite extreme -- a few KB of hot indexed constants
+ * that stay L1-resident -- so they pay the hit path, or the L0 store's.
+ */
+struct RowLatencies
 {
-    unsigned wordsPerTick = m.memParams.smcWordsPerCycle / ticksPerCycle;
-    if (wordsPerTick == 0)
-        wordsPerTick = 1;
-    constexpr unsigned lineWords = 4;
-    return divCeil(lineWords, wordsPerTick);
-}
+    uint64_t burst; ///< bank-port ticks of a one-word SMC read
+    uint64_t smc, hit, miss, tld;
 
-/** Dynamic per-record operation counts from the abstract walk. */
+    explicit RowLatencies(const core::MachineParams &m)
+    {
+        const mem::MemParams &mp = m.memParams;
+        uint64_t trip = ticksPerCycle + 2 * uint64_t(m.cols / 2) * m.hopTicks;
+        burst = mem::smcBankTicks(mem::smcWordsPerTick(mp), 1);
+        smc = trip + 2 + burst + cyclesToTicks(mp.smcLatency);
+        hit = trip + 2 + cyclesToTicks(mp.l1HitLatency);
+        miss = trip + cyclesToTicks(mp.l1HitLatency + mp.l2Latency +
+                                    mp.memLatency);
+        tld = m.mech.l0DataStore ? cyclesToTicks(m.l0Latency) : hit;
+    }
+
+    uint64_t
+    of(const SeqInst &si) const
+    {
+        return si.op == Op::Tld                ? tld
+               : si.space == MemSpace::Smc    ? smc
+               : si.space == MemSpace::Cached ? miss
+                                              : hit;
+    }
+};
+
+/** A register of the walk: a value, and whether the walk knows it. */
+struct KnownWord
+{
+    Word value = 0;
+    bool known = false;
+};
+
+/** core::mimd::step's policy for the walk: folded words, RowLatencies. */
+struct Uncontended
+{
+    const RowLatencies &lat;
+    std::vector<KnownWord> regs;
+
+    std::optional<Word>
+    value(uint8_t r) const
+    {
+        return regs[r].known ? std::optional(regs[r].value) : std::nullopt;
+    }
+
+    /** Fold the op when every operand is known (and no divisor is 0). */
+    void
+    alu(const SeqInst &si)
+    {
+        bool known = true;
+        for (unsigned s = 0; s < isa::opInfo(si.op).numSrcs; ++s)
+            known &= (s == 1 && si.immB) || regs[si.rs[s]].known;
+        Word b = si.immB ? si.imm : regs[si.rs[1]].value;
+        known &= !((si.op == Op::Udiv || si.op == Op::Urem) && b == 0);
+        if (known)
+            regs[si.rd].value = isa::evalOp(si.op, regs[si.rs[0]].value, b,
+                                            regs[si.rs[2]].value, si.imm);
+        regs[si.rd].known = known;
+    }
+
+    Tick
+    load(const SeqInst &si, Tick t)
+    {
+        regs[si.rd].known = false;
+        return t + lat.of(si);
+    }
+
+    Tick store(const SeqInst &, Tick t) { return t; }
+};
+
+/** Dynamic per-record counts and timing from the abstract walk. */
 struct DynCounts
 {
     bool converged = false; ///< the walk reached Halt within budget
-    uint64_t insts = 0;
     uint64_t smcLoads = 0;
     uint64_t smcStores = 0;
-    uint64_t cachedAccesses = 0;
-    uint64_t tlds = 0;
     uint64_t ticks = 0; ///< uncontended serial ticks for the iteration
 };
 
 /**
- * Constant-folding abstract walk of one record iteration, with the
- * engine's in-order issue timing run alongside (uncontended).
+ * Constant-folding abstract walk of one record iteration, timed by the
+ * engine's own step rule (core::mimd::step) without contention.
  *
  * The linearizer seeds every loop counter from immediates and tests the
  * record loop at the bottom, so a walk that folds all-known-operand ops
@@ -148,167 +213,44 @@ struct DynCounts
  * executes static inner loops to their exact trip counts while passing
  * through each data-dependent loop (and the record loop itself) exactly
  * once: the forward pre-check falls *into* the body and the backward
- * back-edge falls *out*. The result is the dynamic instruction and
- * memory-operation count of one record's worth of work -- the quantity
- * the throughput estimate needs, which the static per-CFG-cycle counts
- * (sound, but innermost-cycle-only) badly underestimate for kernels
- * with counted inner loops.
- *
- * The timing shadow mirrors MimdEngine::step without contention: one
- * issue per cycle, issue waits on the sources' ready times, ALU results
- * ready after the op latency, loads after the row round trip with at
- * most mimdOutstandingLoads in flight. Dependence stalls -- which
- * dominate compute-heavy kernels and which an insts-times-issue-width
- * model misses entirely -- thus land in `ticks` exactly.
+ * back-edge falls *out*. The result is the dynamic memory-operation
+ * count of one record's worth of work -- the quantity the throughput
+ * estimate needs, which the static per-CFG-cycle counts (sound, but
+ * innermost-cycle-only) badly underestimate for kernels with counted
+ * inner loops. Dependence stalls -- which dominate compute-heavy
+ * kernels and which an insts-times-issue-width model misses entirely --
+ * land in `ticks` exactly, because the walk steps by the engine's rule.
  */
 DynCounts
-walkOneRecord(const sched::MimdPlan &plan, const core::MachineParams &m)
+walkOneRecord(const sched::MimdPlan &plan, const core::MachineParams &m,
+              const RowLatencies &lat)
 {
-    const auto &code = plan.program.code;
-    size_t n = code.size();
-    std::vector<Word> val(256, 0);
-    std::vector<bool> known(256, false);
-    for (const auto &[reg, value] : plan.initialRegs) {
-        val.at(reg) = value;
-        known.at(reg) = true;
-    }
+    // Every 8-bit register name, whatever the machine's register file.
+    constexpr size_t regNames = 256;
+    Uncontended pol{lat, std::vector<KnownWord>(regNames)};
+    for (const auto &[reg, value] : plan.initialRegs)
+        pol.regs.at(reg) = {value, true};
     // The stride is the machine's tile count; the record index (per
     // tile) and record count (per run) are not knowable statically.
-    val.at(plan.strideReg) = m.tiles();
-    known.at(plan.strideReg) = true;
-    known.at(plan.recIdxReg) = false;
-    known.at(plan.recCountReg) = false;
+    pol.regs.at(plan.strideReg) = {m.tiles(), true};
+    pol.regs.at(plan.recIdxReg).known = false;
+    pol.regs.at(plan.recCountReg).known = false;
 
-    // Uncontended latencies for a middle-of-the-row tile.
-    uint64_t burst = scalarBurstTicks(m);
-    uint64_t halfRowHops = uint64_t(m.cols / 2) * m.hopTicks;
-    uint64_t smcLat = ticksPerCycle + halfRowHops + 1 + burst +
-                      cyclesToTicks(m.memParams.smcLatency) + 1 +
-                      halfRowHops;
-    uint64_t cachedLat = ticksPerCycle + halfRowHops + 1 +
-                         cyclesToTicks(m.memParams.l1HitLatency) + 1 +
-                         halfRowHops;
-    // Cached-space loads are irregular by construction (MemSpace::
-    // Cached is the textures-and-pointers space): data-dependent
-    // addresses spread over a footprint the line-grained caches hold
-    // poorly, so assume they miss through to main memory. Table-space
-    // lookups are the opposite extreme -- a few KB of hot indexed
-    // constants that stay L1-resident -- so they pay the hit path.
-    uint64_t irregularLat = ticksPerCycle + halfRowHops +
-                            cyclesToTicks(m.memParams.l1HitLatency) +
-                            cyclesToTicks(m.memParams.l2Latency) +
-                            cyclesToTicks(m.memParams.memLatency) +
-                            halfRowHops;
-    size_t maxOutstanding = std::max(1u, m.mimdOutstandingLoads);
-
-    uint64_t cursor = 0;
-    std::vector<uint64_t> ready(256, 0);
-    std::deque<uint64_t> outstanding;
+    core::mimd::Pipeline p{std::vector<Tick>(regNames, 0),
+                           core::mimd::LoadWindow(m)};
 
     DynCounts out;
-    uint64_t budget = 1u << 20;
-    size_t pc = 0;
-    while (pc < n && budget) {
-        --budget;
-        const SeqInst &si = code[pc];
-        const auto &info = isa::opInfo(si.op);
-        ++out.insts;
-        if (si.op == Op::Ld && si.space == isa::MemSpace::Smc)
-            ++out.smcLoads;
-        if (si.op == Op::St && si.space == isa::MemSpace::Smc)
-            ++out.smcStores;
-        if ((si.op == Op::Ld || si.op == Op::St) &&
-            !(si.space == isa::MemSpace::Smc && m.mech.smc))
-            ++out.cachedAccesses;
-
-        uint64_t t = cursor;
-        for (unsigned s = 0; s < info.numSrcs; ++s) {
-            if (s == 1 && si.immB)
-                continue;
-            t = std::max(t, ready[si.rs[s]]);
-        }
-
-        switch (si.op) {
-          case Op::Ld: {
-            while (outstanding.size() >= maxOutstanding) {
-                t = std::max(t, outstanding.front());
-                outstanding.pop_front();
-            }
-            uint64_t done =
-                t + (si.space == isa::MemSpace::Smc      ? smcLat
-                     : si.space == isa::MemSpace::Cached ? irregularLat
-                                                         : cachedLat);
-            ready[si.rd] = done;
-            outstanding.push_back(done);
-            known[si.rd] = false;
-            ++pc;
-            break;
-          }
-          case Op::St:
-            ++pc;
-            break;
-          case Op::Tld:
-            ++out.tlds;
-            if (m.mech.l0DataStore) {
-                ready[si.rd] = t + cyclesToTicks(m.l0Latency);
-            } else {
-                while (outstanding.size() >= maxOutstanding) {
-                    t = std::max(t, outstanding.front());
-                    outstanding.pop_front();
-                }
-                ready[si.rd] = t + cachedLat;
-                outstanding.push_back(ready[si.rd]);
-            }
-            known[si.rd] = false;
-            ++pc;
-            break;
-          case Op::Br:
-            pc = si.branchTarget;
-            break;
-          case Op::Beqz:
-          case Op::Bnez:
-            if (known[si.rs[0]]) {
-                bool taken = (si.op == Op::Beqz) ? (val[si.rs[0]] == 0)
-                                                 : (val[si.rs[0]] != 0);
-                pc = taken ? si.branchTarget : pc + 1;
-            } else {
-                // Unknown condition: fall through. Forward pre-checks
-                // enter their loop body; backward back-edges exit after
-                // one trip.
-                ++pc;
-            }
-            break;
-          case Op::Halt:
-            pc = n;
-            break;
-          default: {
-            bool foldable = true;
-            for (unsigned s = 0; s < info.numSrcs; ++s) {
-                if (s == 1 && si.immB)
-                    continue;
-                if (!known[si.rs[s]])
-                    foldable = false;
-            }
-            Word b = si.immB ? si.imm : val[si.rs[1]];
-            if ((si.op == Op::Udiv || si.op == Op::Urem) && b == 0)
-                foldable = false;
-            if (foldable) {
-                val[si.rd] =
-                    isa::evalOp(si.op, val[si.rs[0]], b, val[si.rs[2]],
-                                si.imm);
-                known[si.rd] = true;
-            } else {
-                known[si.rd] = false;
-            }
-            ready[si.rd] = t + cyclesToTicks(info.latency);
-            ++pc;
-            break;
-          }
-        }
-        cursor = t + ticksPerCycle;
+    const auto &code = plan.program.code;
+    for (uint64_t budget = walkBudget; p.pc < code.size() && budget;
+         --budget) {
+        const SeqInst &si = code[p.pc];
+        out.smcLoads += si.op == Op::Ld && si.space == MemSpace::Smc;
+        out.smcStores += si.op == Op::St && si.space == MemSpace::Smc;
+        core::mimd::step(pol, m, plan.program, p,
+                         core::mimd::issueTime(plan.program, p));
     }
-    out.converged = pc >= n;
-    out.ticks = cursor;
+    out.converged = p.pc >= code.size();
+    out.ticks = p.cursor;
     return out;
 }
 
@@ -326,39 +268,27 @@ analyzeMimd(const sched::MimdPlan &plan, const core::MachineParams &m,
     rep.tiles = m.tiles();
     rep.gridCols = m.cols;
 
-    // Setup block: broadcast the program (plus the L0 table images) at
-    // the SMC streaming width -- mirrors MimdEngine::run.
-    uint64_t setupWords = plan.program.code.size();
-    // Table preloading depends on the kernel's tables, which the plan
+    // Setup block: broadcast the program, as MimdEngine::run does. Its
+    // L0 table images depend on the kernel's tables, which the plan
     // does not carry; omitting them only lowers the bound.
-    rep.setupTicks = cyclesToTicks(
-        divCeil(std::max<uint64_t>(setupWords, 1),
-                m.memParams.smcWordsPerCycle) +
-        m.mapOverhead);
-
     size_t n = plan.program.code.size();
+    rep.setupTicks = core::mimd::setupTicks(m, n);
+
     auto succ = successors(plan.program);
 
-    std::vector<uint64_t> wInsts(n, 1);
-    std::vector<uint64_t> wLoad(n, 0);
-    std::vector<uint64_t> wStore(n, 0);
-    uint64_t burst = scalarBurstTicks(m);
-    uint64_t smcLoads = 0, smcStores = 0, cachedAccesses = 0, tlds = 0;
+    std::vector<uint64_t> wInsts(n, 1), wLoad(n, 0), wStore(n, 0);
+    RowLatencies lat(m);
+    uint64_t smcLoads = 0, smcStores = 0, windowedTicks = 0;
     for (size_t i = 0; i < n; ++i) {
         const SeqInst &si = plan.program.code[i];
-        if (si.op == Op::Ld && si.space == isa::MemSpace::Smc && m.mech.smc)
-            wLoad[i] = burst;
-        if (si.op == Op::St && si.space == isa::MemSpace::Smc && m.mech.smc)
-            wStore[i] = 1;
-        if ((si.op == Op::Ld || si.op == Op::St) &&
-            !(si.space == isa::MemSpace::Smc && m.mech.smc))
-            ++cachedAccesses;
-        if (si.op == Op::Ld && si.space == isa::MemSpace::Smc)
-            ++smcLoads;
-        if (si.op == Op::St && si.space == isa::MemSpace::Smc)
-            ++smcStores;
-        if (si.op == Op::Tld)
-            ++tlds;
+        bool ld = si.op == Op::Ld && si.space == MemSpace::Smc;
+        bool st = si.op == Op::St && si.space == MemSpace::Smc;
+        smcLoads += ld;
+        smcStores += st;
+        wLoad[i] = ld && m.mech.smc ? lat.burst : 0;
+        wStore[i] = st && m.mech.smc;
+        if (core::mimd::usesLoadWindow(si, m))
+            windowedTicks += lat.of(si);
     }
     rep.minCycleInsts = minCycleWeight(succ, wInsts);
     rep.minCycleLoadUnits = minCycleWeight(succ, wLoad);
@@ -370,32 +300,21 @@ analyzeMimd(const sched::MimdPlan &plan, const core::MachineParams &m,
     // round trips included), floored by the per-row bank bandwidth the
     // row's tiles share. When the walk fails to converge (a folding gap
     // left a counted loop spinning), fall back to the static
-    // whole-program counts at one issue per cycle plus an amortized
-    // latency penalty.
-    DynCounts dyn = walkOneRecord(plan, m);
-    double serial, bankUnits;
+    // whole-program counts: the shortest CFG cycle at one issue per
+    // cycle, plus every windowed load's walk latency spread across the
+    // load window.
+    DynCounts dyn = walkOneRecord(plan, m, lat);
+    double serial;
     if (dyn.converged) {
         serial = double(dyn.ticks);
-        bankUnits = double(dyn.smcLoads * burst + dyn.smcStores);
+        smcLoads = dyn.smcLoads;
+        smcStores = dyn.smcStores;
     } else {
-        double iterTicks = double(rep.minCycleInsts) * ticksPerCycle;
-        double halfRow = double(m.cols) / 2.0;
-        double smcLat =
-            ticksPerCycle + halfRow + 1 +
-            double(burst + cyclesToTicks(m.memParams.smcLatency)) + 1 +
-            halfRow;
-        double cachedLat =
-            ticksPerCycle + halfRow + 1 +
-            double(cyclesToTicks(m.memParams.l1HitLatency)) + 1 + halfRow;
-        double outstanding = double(std::max(1u, m.mimdOutstandingLoads));
-        double latPenalty =
-            double(smcLoads) * smcLat / outstanding +
-            double(cachedAccesses) * cachedLat / outstanding;
-        if (!m.mech.l0DataStore)
-            latPenalty += double(tlds) * cachedLat / outstanding;
-        serial = iterTicks + latPenalty;
-        bankUnits = double(smcLoads * burst + smcStores);
+        serial = double(rep.minCycleInsts) * ticksPerCycle +
+                 double(windowedTicks) /
+                     double(core::mimd::LoadWindow::slots(m));
     }
+    double bankUnits = double(smcLoads * lat.burst + smcStores);
 
     // Run shape: each batch (and each SMC chunk within one) broadcasts
     // the program afresh. Records stride across tiles, so a run's time

@@ -8,8 +8,7 @@ namespace dlp::mem {
 SmcSubsystem::SmcSubsystem(const MemParams &params)
     : storage(params.rows * params.smcBankWords(), 0),
       bankLatency(cyclesToTicks(params.smcLatency)),
-      wordsPerTick(params.smcWordsPerCycle / ticksPerCycle
-                       ? params.smcWordsPerCycle / ticksPerCycle : 1),
+      wordsPerTick(smcWordsPerTick(params)),
       bankPorts(params.rows, sim::Resource(1)),
       storeBufPorts(params.rows, sim::Resource(1)),
       chanLanes(params.rows * 2, sim::Resource(1))
@@ -77,15 +76,7 @@ SmcSubsystem::read(unsigned row, Addr wordAddr, unsigned nwords, Tick start,
     nWordsRead += nwords;
     burstDist->sample(double(nwords));
 
-    // The bank reads whole SRAM lines (4 words): a scalar access
-    // occupies the port for a full line slot, while a wide (LMW) read
-    // amortizes the port across its words -- the reason the LMW
-    // mechanism matters (Section 4.2). Strided vector fetches are
-    // conflict-free across the interleaved sub-banks, so they cost the
-    // same as contiguous ones (classic vector-memory design).
-    constexpr unsigned lineWords = 4;
-    uint64_t lines = divCeil(nwords, lineWords);
-    uint64_t units = divCeil(lines * lineWords, wordsPerTick);
+    uint64_t units = smcBankTicks(wordsPerTick, nwords);
     Tick grant = bankPort(row).acquireMany(start, units);
     if (grant > start)
         bankConflicts->inc(row);

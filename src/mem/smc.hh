@@ -15,10 +15,12 @@
 #ifndef DLP_MEM_SMC_HH
 #define DLP_MEM_SMC_HH
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -27,6 +29,28 @@
 #include "sim/resource.hh"
 
 namespace dlp::mem {
+
+/** SMC bank and channel bandwidth in words per tick, at least one. */
+inline unsigned
+smcWordsPerTick(const MemParams &p)
+{
+    return std::max(1u, p.smcWordsPerCycle / unsigned(ticksPerCycle));
+}
+
+/**
+ * Bank-port ticks of an nwords SMC read. The bank reads whole SRAM
+ * lines (4 words): a scalar access occupies the port for a full line
+ * slot, while a wide (LMW) read amortizes the port across its words --
+ * the reason the LMW mechanism matters (Section 4.2). Strided vector
+ * fetches are conflict-free across the interleaved sub-banks, so they
+ * cost the same as contiguous ones (classic vector-memory design).
+ */
+inline uint64_t
+smcBankTicks(unsigned wordsPerTick, unsigned nwords)
+{
+    constexpr unsigned lineWords = 4;
+    return divCeil(divCeil(nwords, lineWords) * lineWords, wordsPerTick);
+}
 
 class SmcSubsystem
 {

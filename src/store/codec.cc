@@ -8,34 +8,27 @@ namespace dlp::store {
 
 namespace {
 
-uint64_t
-asU64(const json::Value &v)
-{
-    // Exact even above 2^53: cycle counts and distribution
-    // accumulators of very long simulations round-trip bit-identically.
-    return v.asUInt64();
-}
-
-/** Decode one table field of whatever type the table gives. */
+/** Decode obj[key] into a table field of whatever type the table gives. */
 template <class T>
 void
-readField(const json::Value &v, T &out)
+readField(const json::Value &obj, const char *key, T &out)
 {
+    using Kind = json::Value::Kind;
     if constexpr (std::is_same_v<T, bool>)
-        out = v.asBool();
+        out = documentField(obj, key, Kind::Bool).asBool();
     else if constexpr (std::is_same_v<T, double>)
-        out = v.asNumber();
+        out = documentField(obj, key, Kind::Number).asNumber();
     else if constexpr (std::is_same_v<T, std::string>)
-        out = v.asString();
-    else
-        out = T(asU64(v));
+        out = documentField(obj, key, Kind::String).asString();
+    else // exact above 2^53: long runs' counters round-trip bit for bit
+        out = T(documentField(obj, key, Kind::Number).asUInt64());
 }
 
 /** A field-table visitor that reads field = obj[key]; raises if absent. */
 auto
 reader(const json::Value &obj)
 {
-    return [&obj](const char *key, auto &f) { readField(obj.at(key), f); };
+    return [&obj](const char *key, auto &f) { readField(obj, key, f); };
 }
 
 template <class Finding>
@@ -84,12 +77,12 @@ distFromJson(const std::string &name, const json::Value &v)
 {
     std::vector<uint64_t> buckets;
     for (const auto &b : v.at("buckets").items())
-        buckets.push_back(asU64(b));
+        buckets.push_back(b.asUInt64());
     Distribution d(name, v.at("low").asNumber(), v.at("high").asNumber(),
                    unsigned(buckets.size()));
     d.restore(v.at("low").asNumber(), v.at("high").asNumber(),
-              std::move(buckets), asU64(v.at("underflow")),
-              asU64(v.at("overflow")), asU64(v.at("samples")),
+              std::move(buckets), v.at("underflow").asUInt64(),
+              v.at("overflow").asUInt64(), v.at("samples").asUInt64(),
               v.at("sum").asNumber(), v.at("sumSq").asNumber(),
               v.at("min").asNumber(), v.at("max").asNumber());
     return d;
@@ -179,13 +172,13 @@ obs::TimeSeries
 timeseriesFromJson(const json::Value &v)
 {
     obs::TimeSeries ts;
-    ts.intervalTicks = asU64(v.at("intervalTicks"));
+    ts.intervalTicks = v.at("intervalTicks").asUInt64();
     for (const auto &n : v.at("statNames").items())
         ts.statNames.emplace_back(n.asString());
     for (const auto &b : v.at("isLevel").items())
         ts.isLevel.push_back(b.asBool());
     for (const auto &t : v.at("ticks").items())
-        ts.ticks.push_back(asU64(t));
+        ts.ticks.push_back(t.asUInt64());
     for (const auto &row : v.at("samples").items()) {
         std::vector<double> vals;
         vals.reserve(row.items().size());
@@ -197,6 +190,15 @@ timeseriesFromJson(const json::Value &v)
 }
 
 } // namespace
+
+const json::Value &
+documentField(const json::Value &obj, const char *key, json::Value::Kind kind)
+{
+    const json::Value *v = obj.isObject() ? obj.find(key) : nullptr;
+    fatal_if(!v || v->kind() != kind,
+             "store document: \"%s\" is missing or mistyped", key);
+    return *v;
+}
 
 json::Value
 resultToJson(const arch::ExperimentResult &result)
@@ -237,18 +239,19 @@ resultFromJson(const json::Value &doc)
     arch::visitFields(r, reader(doc));
     arch::visitHostFields(r, reader(doc));
 
-    r.audited = doc.at("audited").asBool();
+    readField(doc, "audited", r.audited);
     if (r.audited)
         findingsFromJson(doc.at("auditViolations"), r.auditViolations);
 
-    r.checked = doc.at("checked").asBool();
+    readField(doc, "checked", r.checked);
     if (r.checked) {
-        r.checkErrors = asU64(doc.at("checkErrors"));
-        r.checkWarnings = asU64(doc.at("checkWarnings"));
+        readField(doc, "checkErrors", r.checkErrors);
+        readField(doc, "checkWarnings", r.checkWarnings);
         findingsFromJson(doc.at("checkFindings"), r.checkFindings);
     }
 
-    cost::visitFields(r.cost, reader(doc.at("cost")));
+    cost::visitFields(
+        r.cost, reader(documentField(doc, "cost", json::Value::Kind::Object)));
 
     if (const json::Value *ts = doc.find("timeseries"))
         r.timeseries = timeseriesFromJson(*ts);

@@ -39,9 +39,17 @@ constexpr uint64_t codecFormatVersion = 1;
 json::Value resultToJson(const arch::ExperimentResult &result);
 
 /**
+ * obj[key] of a store document, which is input, not simulator state: a
+ * missing key or a value of another kind raises FatalError.
+ */
+const json::Value &documentField(const json::Value &obj, const char *key,
+                                 json::Value::Kind kind);
+
+/**
  * Inverse of resultToJson. Every key the tables name is required: a
- * document missing one (or holding a mistyped value) raises PanicError,
- * which the result store counts as a corrupt entry and a miss.
+ * document missing one (or holding a value of another type) raises
+ * FatalError, which the result store counts as a corrupt entry and a
+ * miss.
  */
 arch::ExperimentResult resultFromJson(const json::Value &doc);
 

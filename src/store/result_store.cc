@@ -72,19 +72,20 @@ ResultStore::readRawEntry(const std::string &key, json::Value *out)
     // never a crash: the caller treats it as a miss and recomputes.
     try {
         json::Value doc = json::parse(text);
-        if (static_cast<uint64_t>(doc.at("format").asNumber()) !=
-            codecFormatVersion)
+        using Kind = json::Value::Kind;
+        auto str = [&doc](const char *name) {
+            return documentField(doc, name, Kind::String).asString();
+        };
+        if (documentField(doc, "format", Kind::Number).asNumber() !=
+            double(codecFormatVersion))
             return ReadStatus::Corrupt;
         // The code version rides inside the key, so a well-formed entry
         // under this key must carry the current version; anything else
         // was tampered with or copied across builds.
-        if (doc.at("codeVersion").asString() != codeVersion())
+        if (str("codeVersion") != codeVersion() || str("key") != key)
             return ReadStatus::Corrupt;
-        if (doc.at("key").asString() != key)
-            return ReadStatus::Corrupt;
-        const json::Value &result = doc.at("result");
-        if (fnv1a128(json::write(result, 0)).hex() !=
-            doc.at("checksum").asString())
+        const json::Value &result = documentField(doc, "result", Kind::Object);
+        if (fnv1a128(json::write(result, 0)).hex() != str("checksum"))
             return ReadStatus::Corrupt;
         if (out)
             *out = result;

@@ -215,6 +215,57 @@ TEST(CostMimd, L0DataStoreNeverSlowsATableKernelDown)
     EXPECT_GE(m, md);
 }
 
+TEST(CostMimd, UnfoldedLoopFallsBackToTheWalksLatencies)
+{
+    // A counted loop of 2^21 trips folds past the walk's 2^20-step
+    // budget, so the estimate falls back to static counts: the shortest
+    // CFG cycle at one issue per cycle, plus each windowed load's walk
+    // latency spread across the window. Like the walk, the fallback
+    // prices the Cached-space load as a miss to main memory, charges
+    // the store nothing, and counts (cols / 2) whole hops to mid-row.
+    core::MachineParams m = arch::configByName("M");
+    m.cols = 5;
+    m.hopTicks = 2;
+    sched::MimdPlan plan;
+    plan.name = "unfolded";
+    plan.recIdxReg = 0;
+    plan.strideReg = 1;
+    plan.recCountReg = 2;
+    plan.initialRegs = {{3, 0}, {4, Word(1) << 21}};
+    auto &code = plan.program.code;
+    auto push = [&code](isa::Op op, uint8_t rd, uint8_t a, uint8_t b) {
+        isa::SeqInst si;
+        si.op = op;
+        si.rd = rd;
+        si.rs[0] = a;
+        si.rs[1] = b;
+        si.space = isa::MemSpace::Cached;
+        code.push_back(si);
+    };
+    push(isa::Op::Add, 3, 3, 0);  // 0: r3 += 1
+    code.back().imm = 1;
+    code.back().immB = true;
+    push(isa::Op::Ltu, 5, 3, 4);  // 1: r5 = r3 < 2^21
+    push(isa::Op::Ld, 6, 0, 0);   // 2: r6 = [r0]
+    push(isa::Op::St, 0, 0, 6);   // 3: [r0] = r6
+    push(isa::Op::Bnez, 0, 5, 0); // 4: back to 0 while r5
+    push(isa::Op::Halt, 0, 0, 0); // 5
+    plan.program.numRegs = 7;
+
+    cost::CostReport rep = cost::analyzeMimd(plan, m, m.tiles());
+    const mem::MemParams &mp = m.memParams;
+    uint64_t halfRow = uint64_t(m.cols / 2) * m.hopTicks;
+    uint64_t missTicks = ticksPerCycle + halfRow +
+                         cyclesToTicks(mp.l1HitLatency) +
+                         cyclesToTicks(mp.l2Latency) +
+                         cyclesToTicks(mp.memLatency) + halfRow;
+    double serial = 5.0 * ticksPerCycle +
+                    double(missTicks) / double(m.mimdOutstandingLoads);
+    EXPECT_EQ(rep.minCycleInsts, 5u);
+    EXPECT_DOUBLE_EQ(rep.predictedTicksPerRecord,
+                     (double(rep.setupTicks) + serial) / double(m.tiles()));
+}
+
 // --- PERF-* advisory rules ------------------------------------------------
 
 namespace {

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "arch/configs.hh"
 #include "arch/processor.hh"
 #include "core/block_engine.hh"
 #include "core/mimd_engine.hh"
+#include "cost/cost.hh"
 #include "epoch/epoch.hh"
 #include "kernels/catalog.hh"
 #include "sched/plan.hh"
@@ -317,15 +319,17 @@ TEST(MimdEngine, MoreTilesMakeItFaster)
 
 TEST(MimdEngine, ZeroLoadWindowRunsAsAWindowOfOne)
 {
-    // mimdOutstandingLoads = 0 means one load in flight, as in the cost
-    // model's timing shadow. Rijndael on M also sends its table lookups
-    // through the load window (no L0 data store).
+    // mimdOutstandingLoads = 0 means one load in flight, in the engine
+    // and in the cost oracle, which step by the same rule. Rijndael on
+    // M also sends its table lookups through the load window (no L0
+    // data store).
     struct Outcome
     {
         Cycles cycles;
         uint64_t insts;
         double waitSum;
         uint64_t waitSamples;
+        double predicted; ///< the cost oracle's ticks per record
         bool operator==(const Outcome &) const = default;
     };
     auto runWith = [](const std::string &config, unsigned window) {
@@ -339,16 +343,82 @@ TEST(MimdEngine, ZeroLoadWindowRunsAsAWindowOfOne)
         auto stats = engine.run(std::get<sched::MimdPlan>(low.plan), 128);
         const auto *wait =
             engine.statsGroup().findDistribution("operandWaitTicks");
+        double predicted =
+            cost::analyzeMimd(std::get<sched::MimdPlan>(low.plan), m, 128)
+                .predictedTicksPerRecord;
         return Outcome{stats.cycles, stats.instsExecuted, wait->sum(),
-                       wait->samples()};
+                       wait->samples(), predicted};
     };
     for (const char *config : {"M", "M-D"}) {
         SCOPED_TRACE(config);
         Outcome one = runWith(config, 1);
         EXPECT_EQ(runWith(config, 0), one);
         // The window is live: a wider one finishes sooner.
-        EXPECT_LT(runWith(config, 4).cycles, one.cycles);
+        Outcome four = runWith(config, 4);
+        EXPECT_LT(four.cycles, one.cycles);
+        EXPECT_LT(four.predicted, one.predicted);
     }
+}
+
+TEST(MimdEngine, OneTileAluProgramRunsAsTheOracleWalksIt)
+{
+    // One tile, one record, and no memory access: nothing contended,
+    // so the engine's issue span is the step rule alone, which is what
+    // the cost oracle walks. The program has a Mul chain (scoreboard
+    // stalls) in a counted inner loop inside the record loop.
+    auto m = arch::configByName("M");
+    m.rows = 1;
+    m.cols = 1;
+    sched::MimdPlan plan;
+    plan.name = "mimd-alu";
+    plan.recIdxReg = 0;
+    plan.strideReg = 1;
+    plan.recCountReg = 2;
+    plan.initialRegs = {{3, 0}, {4, 7}};
+    using isa::SeqInst;
+    auto &code = plan.program.code;
+    auto alu = [&code](Op op, uint8_t rd, uint8_t a, uint8_t b,
+                      std::optional<Word> imm = {}) {
+        SeqInst si;
+        si.op = op;
+        si.rd = rd;
+        si.rs[0] = a;
+        si.rs[1] = b;
+        si.imm = imm.value_or(0);
+        si.immB = imm.has_value();
+        code.push_back(si);
+    };
+    auto branch = [&code](Op op, uint8_t cond, uint32_t target) {
+        SeqInst si;
+        si.op = op;
+        si.rs[0] = cond;
+        si.branchTarget = target;
+        code.push_back(si);
+    };
+    alu(Op::Ltu, 10, 0, 2);    // 0: record pre-check
+    branch(Op::Beqz, 10, 10);  // 1: -> halt
+    alu(Op::Add, 3, 3, 0, 1);  // 2: inner index += 1
+    alu(Op::Mul, 4, 4, 3);     // 3: r4 *= index
+    alu(Op::Mul, 5, 4, 4);     // 4: waits on the Mul above
+    alu(Op::Ltu, 11, 3, 0, 5); // 5: five inner trips
+    branch(Op::Bnez, 11, 2);   // 6
+    alu(Op::Add, 0, 0, 1);     // 7: record index += stride
+    alu(Op::Ltu, 10, 0, 2);    // 8: record back-edge test...
+    branch(Op::Bnez, 10, 2);   // 9: ...at the bottom
+    code.push_back(SeqInst{.op = Op::Halt}); // 10
+    plan.program.numRegs = 12;
+
+    mem::MemorySystem memory(m.memParams, m.mech.smc, m.hopTicks);
+    MimdEngine engine(m, memory);
+    RunStats stats = engine.run(plan, 1);
+    cost::CostReport rep = cost::analyzeMimd(plan, m, 1);
+
+    Tick span = engine.now() - rep.setupTicks;
+    EXPECT_EQ(double(span),
+              rep.predictedTicksPerRecord - double(rep.setupTicks));
+    EXPECT_EQ(stats.instsExecuted, 2u + 5 * 5 + 4);
+    // The Mul chain stalls: the span exceeds one issue per cycle.
+    EXPECT_GT(span, stats.instsExecuted * ticksPerCycle);
 }
 
 // ---------------------------------------------------------------------

@@ -179,23 +179,35 @@ TEST(StoreCodec, DocumentMissingATableKeyIsRejected)
 {
     // The store key hashes the key format and code versions, so every
     // document under a current key carries every table key: a missing
-    // one is a defect, never an older shape to default.
+    // one is a defect, never an older shape to default. A document is
+    // input, so a missing key or a value of the wrong type is a
+    // FatalError, not a simulator panic.
     json::Value full = store::resultToJson(driver::runTask(quickTask()));
     store::ResultStore rs(freshDir("missing"));
     uint64_t corrupt = 0;
-    for (const char *dropped : {"cost", "eventActivations"}) {
+    struct Defect
+    {
+        const char *key;
+        bool retyped; ///< the key stays, holding a string
+    };
+    for (auto [key, retyped] : {Defect{"cost", false},
+                                Defect{"eventActivations", false},
+                                Defect{"cycles", true}}) {
         json::Value doc = json::Value::object();
-        for (const auto &m : full.members())
-            if (m.key() != dropped)
+        for (const auto &m : full.members()) {
+            if (m.key() != key)
                 doc.set(m.key(), m.value());
-        EXPECT_ANY_THROW(store::resultFromJson(doc)) << dropped;
+            else if (retyped)
+                doc.set(m.key(), "12");
+        }
+        EXPECT_THROW(store::resultFromJson(doc), FatalError) << key;
 
-        std::string key = keyFor(quickTask("fft", "S", ++corrupt));
-        rs.insertRaw(key, doc, "fft");
+        std::string entry = keyFor(quickTask("fft", "S", ++corrupt));
+        rs.insertRaw(entry, doc, "fft");
         arch::ExperimentResult r;
-        EXPECT_FALSE(rs.lookup(key, r)) << dropped;
-        EXPECT_EQ(rs.stats().corrupt, corrupt) << dropped;
-        EXPECT_FALSE(fs::exists(rs.entryPath(key))) << dropped;
+        EXPECT_FALSE(rs.lookup(entry, r)) << key;
+        EXPECT_EQ(rs.stats().corrupt, corrupt) << key;
+        EXPECT_FALSE(fs::exists(rs.entryPath(entry))) << key;
     }
 }
 
